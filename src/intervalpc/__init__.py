@@ -1,15 +1,12 @@
-"""Minimum path covers with one fixed endpoint on interval graphs."""
+"""Minimum path covers with one fixed endpoint on interval graphs.
+
+The oracle, bipartite and generator APIs live in their submodules
+(``from intervalpc.oracle import ...``); importing them loads numpy.
+"""
 
 from .graphcore import (IntervalModel, OrderedGraph, OrderingViolation,
                         build_ordering, validate_ordering, leftmost_neighbor)
 from .engine import (InternalInvariantViolation, Path, PathCover, solve_1pc,
                      epsilon_vector, serialize_cover, parse_cover)
-from .oracle import (InstanceTooLarge, OracleResult, validate_cover,
-                     check_nesting, oracle_min_cover, diff_engine_vs_oracle)
-from .bipartite import (BipartiteConvexGraph, ConvexityViolation, StartNotInY,
-                        UnsupportedCase, convexify, hp_biconvex, onehp_biconvex,
-                        hp_xconvex, onehp_xconvex,
-                        find_observation51_counterexample)
-from .generators import GenSpec, gen_interval, gen_biconvex
 
 __version__ = "0.1.0"

@@ -7,6 +7,7 @@ instance files).
 
 Exit codes: 0 success, 1 failed verification or oracle mismatch, 2 parse
 error, 3 invalid claimed ordering, 4 instance too large for the oracle.
+Modules that load numpy are imported only by the subcommands using them.
 """
 
 from __future__ import annotations
@@ -17,17 +18,10 @@ import math
 import sys
 import time
 
-from . import kernels
-from .bipartite import (hp_biconvex, hp_xconvex, onehp_biconvex,
-                        onehp_xconvex, parse_bipartite_file,
-                        write_bipartite_file)
 from .engine import parse_cover, serialize_cover, solve_1pc
-from .generators import GenSpec, gen_biconvex, gen_interval
 from .graphcore import (OrderingViolation, build_ordering, parse_adjacency_file,
                         parse_interval_file, validate_ordering,
                         write_interval_file)
-from .oracle import (InstanceTooLarge, check_nesting, diff_engine_vs_oracle,
-                     validate_cover)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -66,6 +60,9 @@ def cmd_solve(args):
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    if args.terminal is not None and not 1 <= args.terminal <= g.n:
+        print(f"error: terminal {args.terminal} out of range 1..{g.n}", file=sys.stderr)
+        return EXIT_PARSE
     trace = [] if args.trace else None
     cover = solve_1pc(g, terminal=args.terminal, trace=trace)
     if trace:
@@ -84,11 +81,16 @@ def cmd_solve(args):
 
 
 def _solve_bipartite(args):
-    from .bipartite import ConvexityViolation, StartNotInY, UnsupportedCase
+    from .bipartite import (ConvexityViolation, StartNotInY, UnsupportedCase,
+                            hp_biconvex, hp_xconvex, onehp_biconvex,
+                            onehp_xconvex, parse_bipartite_file)
     try:
         g = parse_bipartite_file(open(args.input).read())
     except (OSError, ValueError, ConvexityViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    if args.terminal is not None and not 1 <= args.terminal <= len(g.Y):
+        print(f"error: terminal {args.terminal} out of range 1..{len(g.Y)}", file=sys.stderr)
         return EXIT_PARSE
     try:
         if args.terminal is not None:
@@ -109,6 +111,7 @@ def _solve_bipartite(args):
 
 
 def cmd_verify(args):
+    from .oracle import check_nesting, validate_cover
     try:
         fmt = args.format or _guess_format(args.graph)
         g = _load_graph(args.graph, fmt)
@@ -130,8 +133,8 @@ def cmd_verify(args):
 
 
 def _labelled_models(args):
+    from .generators import GenSpec, exhaustive_interval_models, gen_interval
     if args.exhaustive is not None:
-        from .generators import exhaustive_interval_models
         n = args.exhaustive
         for idx, model in enumerate(exhaustive_interval_models(n)):
             yield (f"exhaustive-n{n}-{idx}", model)
@@ -143,6 +146,7 @@ def _labelled_models(args):
 
 
 def cmd_oracle(args):
+    from .oracle import InstanceTooLarge, diff_engine_vs_oracle
     models = list(_labelled_models(args))
     try:
         report = diff_engine_vs_oracle(models, prefix_mode=args.prefix)
@@ -176,6 +180,8 @@ def cmd_oracle(args):
 
 
 def cmd_bench(args):
+    from . import kernels
+    from .generators import GenSpec, gen_interval
     sizes = [int(s) for s in args.sizes.split(",")]
     reps = args.reps
     print(f"kernel backend: {kernels.backend_name()}")
@@ -210,6 +216,8 @@ def cmd_bench(args):
 
 
 def _bench_kernels(args):
+    from . import kernels
+    from .generators import GenSpec, gen_interval
     from .oracle import adjacency_masks
     spec = GenSpec(kind="interval", n=10, density=0.5, seed=args.seed, count=20)
     models = gen_interval(spec)
@@ -230,6 +238,8 @@ def _bench_kernels(args):
 
 
 def cmd_gen(args):
+    from .bipartite import write_bipartite_file
+    from .generators import GenSpec, gen_biconvex, gen_interval
     spec = GenSpec(kind=args.kind, n=args.n, nx=args.nx, ny=args.ny,
                    density=args.density, seed=args.seed, count=args.count)
     if args.kind == "interval":

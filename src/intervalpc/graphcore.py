@@ -14,10 +14,9 @@ the validators) queries adjacency through that window.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from fractions import Fraction
-
-import numpy as np
 
 __all__ = [
     "IntervalModel",
@@ -48,16 +47,16 @@ class OrderingViolation(Exception):
 class IntervalModel:
     """A family of closed intervals with unique labels.
 
-    Endpoints are exact rationals (``fractions.Fraction``); touching
-    endpoints count as intersection.
+    Endpoints are exact rationals: an integral endpoint is held as an
+    ``int``, any other as a ``fractions.Fraction``.  The two compare
+    exactly with each other.  Touching endpoints count as intersection.
     """
 
     def __init__(self, intervals):
         items = []
         seen = set()
         for label, lo, hi in intervals:
-            lo = Fraction(lo)
-            hi = Fraction(hi)
+            lo, hi = _exact(lo), _exact(hi)
             if hi < lo:
                 raise ValueError(f"interval {label!r}: right end {hi} < left end {lo}")
             if label in seen:
@@ -76,6 +75,14 @@ class IntervalModel:
         return isinstance(other, IntervalModel) and self.intervals == other.intervals
 
 
+def _exact(x):
+    """``x`` as an ``int`` when integral, else as a ``Fraction``."""
+    if type(x) is int:
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 class OrderedGraph:
     """Adjacency structure with the right-endpoint numbering baked in.
 
@@ -92,7 +99,6 @@ class OrderedGraph:
         self.window = window
         self.ordering_origin = ordering_origin
         self.labels = labels if labels is not None else list(range(n + 1))
-        self._adj_rows = None
 
     def has_edge(self, u: int, v: int) -> bool:
         if u == v:
@@ -100,13 +106,6 @@ class OrderedGraph:
         if u > v:
             u, v = v, u
         return u >= self.window[v]
-
-    def degree(self, v: int) -> int:
-        d = v - self.window[v]
-        for u in range(v + 1, self.n + 1):
-            if self.window[u] <= v:
-                d += 1
-        return d
 
     def neighbors(self, v: int) -> list[int]:
         out = list(range(self.window[v], v))
@@ -121,21 +120,6 @@ class OrderedGraph:
             for u in range(self.window[v], v):
                 yield (u, v)
 
-    def adjacency_bitsets(self) -> np.ndarray:
-        """Dense boolean adjacency rows (row 0 unused), built lazily.
-
-        Row v packs membership tests for the engine's case analysis and
-        the validators; O(n/word) per query through numpy.
-        """
-        if self._adj_rows is None:
-            n = self.n
-            rows = np.zeros((n + 1, n + 1), dtype=bool)
-            for v in range(1, n + 1):
-                rows[v, self.window[v]:v] = True
-            rows |= rows.T
-            self._adj_rows = rows
-        return self._adj_rows
-
     def label_of(self, v: int):
         return self.labels[v]
 
@@ -148,18 +132,16 @@ def build_ordering(model: IntervalModel) -> OrderedGraph:
     sorted numbering that reduces to left_j <= right_i for i < j, so each
     window start comes from one binary search over the sorted right ends.
     """
-    order = sorted(range(len(model.intervals)),
-                   key=lambda idx: (model.intervals[idx][2],
-                                    model.intervals[idx][1], idx))
-    n = len(order)
-    rights = [model.intervals[idx][2] for idx in order]
+    keyed = sorted((hi, lo, idx)
+                   for idx, (_, lo, hi) in enumerate(model.intervals))
+    n = len(keyed)
+    rights = [hi for hi, _, _ in keyed]
     window = [0] * (n + 1)
-    for pos in range(1, n + 1):
-        left = model.intervals[order[pos - 1]][1]
+    for pos, (_, left, _) in enumerate(keyed, 1):
         # first earlier interval whose right end reaches this left end
         w = bisect_left(rights, left, 0, pos - 1) + 1
         window[pos] = w if w < pos else pos
-    labels = [None] + [model.intervals[idx][0] for idx in order]
+    labels = [None] + [model.intervals[idx][0] for _, _, idx in keyed]
     return OrderedGraph(n, window, "from-model", labels)
 
 
@@ -204,11 +186,20 @@ def leftmost_neighbor(g: OrderedGraph, i: int):
     return w if w < i else None
 
 
-def _parse_rational(tok: str) -> Fraction:
-    if "/" in tok:
-        p, q = tok.split("/", 1)
-        return Fraction(int(p), int(q))
-    return Fraction(tok)
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _parse_rational(tok: str) -> int | Fraction:
+    """An ``int`` for an integer token, else an exact ``Fraction``."""
+    if tok.isdecimal() and tok.isascii() or _INTEGER.fullmatch(tok):
+        return int(tok)
+    try:
+        if "/" in tok:
+            p, q = tok.split("/", 1)
+            return Fraction(int(p), int(q))
+        return Fraction(tok)
+    except ZeroDivisionError:
+        raise ValueError(f"endpoint {tok!r} has a zero denominator") from None
 
 
 def parse_interval_file(text: str) -> IntervalModel:

@@ -16,6 +16,7 @@ property of engine-built covers.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -103,17 +104,17 @@ def check_nesting(g: OrderedGraph, cover: PathCover):
     if cover.terminal is not None:
         paths = [(i, p) for i, p in paths if p.kind != "terminal"]
     spans = [(i, min(p.endpoints), max(p.endpoints)) for i, p in paths]
-    for ai in range(len(spans)):
-        ia, lo_a, hi_a = spans[ai]
-        for bi in range(len(spans)):
-            if ai == bi:
-                continue
-            ib, lo_b, hi_b = spans[bi]
-            for e in (lo_b, hi_b):
-                if lo_a < e < hi_a:
-                    out.append(("NestingViolation",
-                                f"endpoint {e} of path {ib} lies inside the "
-                                f"span ({lo_a},{hi_a}) of path {ia}"))
+    # every path endpoint as (value, path, slot); a path never has an
+    # endpoint strictly inside its own span
+    ends = sorted((e, i, slot) for i, lo, hi in spans
+                  for slot, e in enumerate((lo, hi)))
+    values = [e for e, _, _ in ends]
+    for ia, lo_a, hi_a in spans:
+        inside = ends[bisect_right(values, lo_a):bisect_left(values, hi_a)]
+        for e, ib, _ in sorted(inside, key=lambda t: t[1:]):
+            out.append(("NestingViolation",
+                        f"endpoint {e} of path {ib} lies inside the "
+                        f"span ({lo_a},{hi_a}) of path {ia}"))
     return out
 
 

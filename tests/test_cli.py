@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import intervalpc
 from intervalpc.cli import main
 
 
@@ -37,6 +42,37 @@ def test_solve_p4_terminal(tmp_path, capsys):
 def test_solve_parse_error(tmp_path, capsys):
     f = write(tmp_path / "bad.ivl", "1 2\n")
     assert main(["solve", f]) == 2
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_zero_denominator_is_a_parse_error(tmp_path, capsys, command):
+    f = write(tmp_path / "zero.ivl", "a 1/0 2\nb 0 1\n")
+    cov = write(tmp_path / "cover.txt", "lambda=1 terminal=none n=2\nP1 F: 1 2\n")
+    argv = ["solve", f] if command == "solve" else ["verify", f, cov]
+    assert main(argv) == 2
+    assert "error: endpoint '1/0' has a zero denominator" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("terminal", ["0", "5", "-1"])
+def test_solve_terminal_out_of_range(tmp_path, capsys, terminal):
+    f = write(tmp_path / "k4.ivl", K4)
+    assert main(["solve", f, "--terminal", terminal]) == 2
+    captured = capsys.readouterr()
+    assert f"error: terminal {terminal} out of range 1..4" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_solve_interval_does_not_import_numpy(tmp_path):
+    f = write(tmp_path / "k4.ivl", K4)
+    # a fresh interpreter, on the same intervalpc as this one
+    src = os.path.dirname(os.path.dirname(intervalpc.__file__))
+    code = (f"import sys; sys.path.insert(0, {src!r}); "
+            "from intervalpc.cli import main; "
+            f"rc = main(['solve', {f!r}, '--terminal', '2']); "
+            "print(rc, 'numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 def test_solve_ordering_violation(tmp_path):
@@ -129,6 +165,12 @@ def test_solve_bipartite(tmp_path, capsys):
     assert "hp=yes" in out and "y1 x1 y2 x2 y3" in out
     assert main(["solve", f, "--format", "bipartite", "--terminal", "2"]) == 0
     assert "hp=no" in capsys.readouterr().out
+    for terminal in ("0", "-1", "4"):   # Y indices are 1..3
+        assert main(["solve", f, "--format", "bipartite",
+                     "--terminal", terminal]) == 2
+        captured = capsys.readouterr()
+        assert f"terminal {terminal} out of range 1..3" in captured.err
+        assert captured.out == ""
 
 
 def test_bench_tiny(capsys):

@@ -128,7 +128,23 @@ def test_adjacency_file():
         parse_adjacency_file("")
 
 
-def test_adjacency_bitsets():
-    g = build_ordering(model(("a", 0, 5), ("b", 1, 2), ("c", 3, 4)))
-    rows = g.adjacency_bitsets()
-    assert rows[3, 1] and rows[1, 3] and not rows[1, 2]
+@pytest.mark.parametrize("one", ["1", "+1", "2/2", "1.0", "1e0"])
+def test_integral_tokens_give_int_endpoints(one):
+    text = f"a 0 {one}\nb {one} 3\nc -1 {one}\n"
+    m = parse_interval_file(text)
+    ref = parse_interval_file("a 0 1\nb 1 3\nc -1 1\n")
+    assert m == ref
+    assert all(type(x) is int for _, lo, hi in m for x in (lo, hi))
+    g, g_ref = build_ordering(m), build_ordering(ref)
+    assert (g.n, g.window, g.labels) == (g_ref.n, g_ref.window, g_ref.labels)
+
+
+def test_mixed_fraction_and_int_endpoints_touch():
+    m = parse_interval_file("a 1/3 2/3\nb 2/3 1\n")
+    assert [type(hi) for _, _, hi in m] == [Fraction, int]
+    assert build_ordering(m).has_edge(1, 2)
+
+
+def test_zero_denominator_is_a_value_error():
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_interval_file("a 1/0 2\n")

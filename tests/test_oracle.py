@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from intervalpc.graphcore import IntervalModel, build_ordering
 from intervalpc.engine import Path, PathCover, solve_1pc
@@ -56,6 +57,49 @@ def test_nesting_allowed_for_terminal_path():
     g = k_n(4)
     c = PathCover([Path([2, 1, 4], "terminal"), Path([3])], 2, 4)
     assert check_nesting(g, c) == []  # only free pairs are constrained
+
+
+def check_nesting_pairwise(cover):
+    """The reference: every ordered pair of spans, every endpoint."""
+    out = []
+    paths = list(enumerate(cover.paths))
+    if cover.terminal is not None:
+        paths = [(i, p) for i, p in paths if p.kind != "terminal"]
+    spans = [(i, min(p.endpoints), max(p.endpoints)) for i, p in paths]
+    for ai in range(len(spans)):
+        ia, lo_a, hi_a = spans[ai]
+        for bi in range(len(spans)):
+            if ai == bi:
+                continue
+            ib, lo_b, hi_b = spans[bi]
+            for e in (lo_b, hi_b):
+                if lo_a < e < hi_a:
+                    out.append(("NestingViolation",
+                                f"endpoint {e} of path {ib} lies inside the "
+                                f"span ({lo_a},{hi_a}) of path {ia}"))
+    return out
+
+
+# paths may repeat vertices across paths (invalid covers) and may be
+# single vertices; the terminal path, if any, is the first one
+covers = st.tuples(
+    st.lists(st.lists(st.integers(1, 12), min_size=1, max_size=4),
+             min_size=0, max_size=9),
+    st.booleans(),
+).map(lambda t: PathCover(
+    [Path(vs, "terminal" if t[1] and k == 0 else "free")
+     for k, vs in enumerate(t[0])],
+    t[0][0][0] if t[1] and t[0] else None, 12))
+
+
+@given(covers)
+@example(PathCover([Path([1, 9]), Path([3, 4]), Path([5]), Path([2, 9])],
+                   None, 9))                          # nested, single, shared
+@example(PathCover([Path([2, 8], "terminal"), Path([1, 7]), Path([4, 4]),
+                    Path([4])], 2, 8))                # terminal, repeated end
+@settings(max_examples=400, deadline=None)
+def test_check_nesting_matches_pairwise_reference(cover):
+    assert check_nesting(None, cover) == check_nesting_pairwise(cover)
 
 
 def test_oracle_small_cases():
