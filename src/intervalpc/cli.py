@@ -111,7 +111,7 @@ def _solve_bipartite(args):
 
 
 def cmd_verify(args):
-    from .oracle import check_nesting, validate_cover
+    from .validators import check_nesting, validate_cover
     try:
         fmt = args.format or _guess_format(args.graph)
         g = _load_graph(args.graph, fmt)
@@ -216,25 +216,26 @@ def cmd_bench(args):
 
 
 def _bench_kernels(args):
+    """Time the oracle kernels alone, per backend present and per size."""
     from . import kernels
     from .generators import GenSpec, gen_interval
     from .oracle import adjacency_masks
-    spec = GenSpec(kind="interval", n=10, density=0.5, seed=args.seed, count=20)
-    models = gen_interval(spec)
-    adjs = [adjacency_masks(build_ordering(m)) for m in models]
-    for pure in (False, True):
-        if not pure and not kernels.USING_NUMBA:
-            continue
-        name = "pure" if pure else "numba"
-        # warm up compilation outside the timed region
-        kernels.cover_tables(adjs[0], 10, pure=pure)
-        t0 = time.perf_counter()
-        for adj in adjs:
-            _, g_tab = kernels.cover_tables(adj, 10, pure=pure)
-            reach = kernels.reach_table(adj, 10, pure=pure)
-            kernels.terminal_sizes(g_tab, reach, 10, pure=pure)
-        dt = time.perf_counter() - t0
-        print(f"oracle kernels [{name:5s}]: {dt * 1000 / len(adjs):8.2f} ms/instance")
+    backends = ([False] if kernels.USING_NUMBA else []) + [True]
+    for n in (8, 10, 12):
+        spec = GenSpec(kind="interval", n=n, density=0.5, seed=args.seed, count=20)
+        adjs = [adjacency_masks(build_ordering(m)) for m in gen_interval(spec)]
+        for pure in backends:
+            name = "pure" if pure else "numba"
+            # warm up compilation outside the timed region
+            kernels.cover_tables(adjs[0], n, pure=pure)
+            t0 = time.perf_counter()
+            for adj in adjs:
+                _, g_tab = kernels.cover_tables(adj, n, pure=pure)
+                reach = kernels.reach_table(adj, n, pure=pure)
+                kernels.terminal_sizes(g_tab, reach, n, pure=pure)
+            dt = time.perf_counter() - t0
+            print(f"oracle kernels [{name:5s}] n={n:>2d}: "
+                  f"{dt * 1000 / len(adjs):8.2f} ms/instance")
 
 
 def cmd_gen(args):
@@ -301,7 +302,8 @@ def build_parser():
     p.add_argument("--density", type=float, default=0.9)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--kernels", action="store_true",
-                   help="also compare numba vs pure oracle kernels")
+                   help="also time the oracle kernels alone, per backend "
+                        "present, at n = 8, 10 and 12")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("gen", help="write random instance files")

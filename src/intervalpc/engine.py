@@ -723,13 +723,22 @@ class _Engine:
         trial.terminal = self.terminal
         return trial
 
-    def _shadow_rescue_candidates(self, i, w):
-        """Covers re-derived from the terminal-free shadow run: adopt its
-        paths, re-place the terminal, place v_i.  Used when the terminal
-        wedges the plain operations."""
+    def _shadow_rescue(self, i, w):
+        """The best cover re-derived from the terminal-free shadow run:
+        adopt its paths, re-place the terminal, place v_i.  Used when the
+        terminal wedges the plain operations.  Trials are ranked by
+        (count, endpoint key, edit key), the first of equals winning;
+        only the best is kept.  Returns that trial, or None."""
         t = self.terminal
         shadow = self._ensure_shadow(i - 1)
-        out = []
+        best = None
+
+        def offer(trial, key):
+            nonlocal best
+            rank = (trial.lam, tuple(-x for x in trial._endpoint_multiset()), key)
+            if best is None or rank < best[0]:
+                best = (rank, trial)
+
         # extend a shadow path with v_i, then cap it with the terminal
         if shadow.lam == self.lam - 1 and self.sees(i, t):
             lo = bisect_left(shadow.eps, w)
@@ -739,8 +748,7 @@ class _Engine:
                 trial._connect(e, i)
                 trial._connect(i, t)
                 trial.terminal_pid = trial.pid[t]
-                out.append((trial.lam, tuple(-x for x in trial._endpoint_multiset()),
-                            (0, e, 0, 0, 0), trial))
+                offer(trial, (0, e, 0, 0, 0))
         # re-attach the terminal at a shadow endpoint it sees, then bridge
         for e in shadow.eps:
             if not self.sees(t, e):
@@ -751,17 +759,15 @@ class _Engine:
             _, fexp = trial._classify(w)
             if len(fexp) >= 2:
                 trial._do_bridge(i, w, fexp)
-                out.append((trial.lam, tuple(-x for x in trial._endpoint_multiset()),
-                            (1, e, 0, 0, 0), trial))
-        if out:
-            return out
+                offer(trial, (1, e, 0, 0, 0))
+        if best is not None:
+            return best[1]
         # restructure the shadow cover first: cut an edge at a seen
-        # internal vertex, optionally rejoin one loose piece elsewhere (or
-        # rotate via the sibling's far end), hang the terminal on an
-        # endpoint it sees, then bridge
-        for u in range(1, i):
-            if shadow.pid[u] == 0 or shadow._nb_count(u) != 2 \
-                    or not self.sees(i, u):
+        # internal vertex (v_i sees nothing below w), optionally rejoin
+        # one loose piece elsewhere (or rotate via the sibling's far end),
+        # hang the terminal on an endpoint it sees, then bridge
+        for u in range(w, i):
+            if shadow.pid[u] == 0 or shadow._nb_count(u) != 2:
                 continue
             for v in shadow._nbrs(u):
                 base = self._trial_from(shadow)
@@ -787,25 +793,21 @@ class _Engine:
                         _, fexp = trial._classify(w)
                         if len(fexp) >= 2:
                             trial._do_bridge(i, w, fexp)
-                            out.append((trial.lam,
-                                        tuple(-x for x in trial._endpoint_multiset()),
-                                        key + (e,), trial))
-        return out
+                            offer(trial, key + (e,))
+        return None if best is None else best[1]
 
     def _do_terminal_detour(self, i, w, free_exp):
         # baseline: connect at the blocked path's leftmost seen free
         # endpoint; a shadow rebuild must beat it on count
         (_, seen), = free_exp.items()
-        cands = self._shadow_rescue_candidates(i, w)
-        if cands:
-            cands.sort(key=lambda r: (r[0], r[1], r[2]))
-            # rebasing onto the shadow is justified only by a strictly
-            # smaller cover; equal-count rebuilds can trade away structure
-            # the evolved cover needs later
-            if cands[0][0] < self.lam:
-                self._adopt(cands[0][3])
-                self._log(i, "detour", "cover re-derived from the shadow run")
-                return
+        rescue = self._shadow_rescue(i, w)
+        # rebasing onto the shadow is justified only by a strictly smaller
+        # cover; equal-count rebuilds can trade away structure the evolved
+        # cover needs later
+        if rescue is not None and rescue.lam < self.lam:
+            self._adopt(rescue)
+            self._log(i, "detour", "cover re-derived from the shadow run")
+            return
         composite = self._restructure_trials(i, w)
         if composite is None:
             self._connect(seen[0], i)
@@ -832,8 +834,9 @@ class _Engine:
         endpoint can wedge the plain operations; they either drop the path
         count where nothing else can, or keep it while leaving another
         endpoint set, which ``_rank`` weighs against the plain edit.
-        Returns the best resulting engine state by the endpoint key, or
-        None."""
+        Returns the best resulting engine state by (count, endpoint key,
+        edit key), the first of equals winning, or None; only the best
+        trial is kept while scanning."""
         if not self.terminal_pid:
             return None
         # a restructure only pays when the terminal path holds one of the
@@ -846,7 +849,7 @@ class _Engine:
                 below += 1
                 if below > 1:
                     return None
-        results = []
+        best = None
         # candidate cut edges sit at seen internal vertices; scan from the
         # window's right edge and cap the scan on large instances
         cands = [u for u in range(i - 1, w - 1, -1)
@@ -900,12 +903,11 @@ class _Engine:
                     _, fexp = var._classify(w)
                     if len(fexp) >= 2:
                         var._do_bridge(i, w, fexp)
-                        results.append((var.lam, var._endpoint_multiset(),
-                                        key, var))
-        if not results:
-            return None
-        results.sort(key=lambda r: (r[0], tuple(-x for x in r[1]), r[2]))
-        return results[0][3]
+                        rank = (var.lam,
+                                tuple(-x for x in var._endpoint_multiset()), key)
+                        if best is None or rank < best[0]:
+                            best = (rank, var)
+        return None if best is None else best[1]
 
     def _do_connect_or_break(self, i, w, free_exp):
         (p_e, seen), = free_exp.items()
@@ -958,14 +960,12 @@ class _Engine:
             # shrinks the cover
             shadow = self._ensure_shadow(i - 1)
             if shadow.lam < self.lam:
-                cands = self._shadow_rescue_candidates(i, w)
-                if cands:
-                    cands.sort(key=lambda r: (r[0], r[1], r[2]))
-                    if cands[0][0] < self.lam:
-                        self._adopt(cands[0][3])
-                        self._log(i, "connect_break",
-                                  "cover re-derived from the shadow run")
-                        return
+                rescue = self._shadow_rescue(i, w)
+                if rescue is not None and rescue.lam < self.lam:
+                    self._adopt(rescue)
+                    self._log(i, "connect_break",
+                              "cover re-derived from the shadow run")
+                    return
         self._apply_plan(i, action, a_end)
         self._log(i, *self._plan_log(i, action, a_end))
         if carried is not None:

@@ -1,13 +1,20 @@
 """Bitmask dynamic-programming kernels used by the exact oracle.
 
-These are the hot inner loops of the differential-testing campaigns (they
-run once per instance per prefix, across tens of thousands of instances),
-so by default they are compiled with numba.  Setting ``INTERVALPC_PURE=1``
-in the environment selects the pure numpy/python implementations instead;
-``intervalpc bench --kernels`` times one against the other.
+These are the hot inner loops of the differential-testing campaigns.  One
+table pass per instance answers the whole instance and every prefix of it
+(see ``oracle.diff_engine_vs_oracle``), across tens of thousands of
+instances.  By default they are compiled with numba when it is installed.
+Otherwise, or with ``INTERVALPC_PURE=1`` in the environment, the pure
+numpy implementations run: they fill the tables one popcount layer at a
+time, all masks of size k at once, since a row of layer k reads only rows
+of layer k - 1.  Beside the tables and an n x 2^n boolean membership
+array, their temporaries stay O(C(n, k) * n) small integers per layer.
+``intervalpc bench --kernels`` times each backend present.
 
 State encoding: vertices 0..n-1, subsets as int64 bitmasks, ``adj[v]`` the
-neighbour bitmask of v.
+neighbour bitmask of v.  A row for a mask reads only its submasks, so the
+rows below ``1 << i`` are the tables of the subgraph induced by vertices
+0..i-1.
 
 * ``cover_tables``  -- f[mask, last] = minimum number of paths covering
   ``mask`` where the currently open path ends at ``last``; g[mask] is the
@@ -37,84 +44,80 @@ if not PURE_REQUESTED:
         USING_NUMBA = False
 
 
+def _layers(n: int):
+    """Yield, for k = 2..n, the masks with k bits set (ascending) and, per
+    vertex v, those of them containing v paired with the same masks
+    without v."""
+    masks = np.arange(1 << n, dtype=np.int64)
+    has = np.empty((n, 1 << n), dtype=bool)
+    for v in range(n):
+        has[v] = (masks >> v) & 1
+    count = has.sum(axis=0)
+    order = np.argsort(count, kind="stable")
+    masks, has = masks[order], has[:, order]
+    ends = np.cumsum(np.bincount(count, minlength=n + 1))
+    for k in range(2, n + 1):
+        lo, hi = ends[k - 1], ends[k]
+        layer = masks[lo:hi]
+        splits = []
+        for v in range(n):
+            with_v = layer[has[v, lo:hi]]
+            splits.append((with_v, with_v ^ (1 << v)))
+        yield layer, splits
+
+
 def _cover_tables_py(adj: np.ndarray, n: int):
     size = 1 << n
-    f = np.full((size, n), _INF, dtype=np.int8)
+    # filled transposed, ft[last, mask], so that the minimum over
+    # neighbour columns runs along contiguous rows
+    ft = np.full((n, size), _INF, dtype=np.int8)
     g = np.full(size, _INF, dtype=np.int8)
     g[0] = 0
-    for v in range(n):
-        f[1 << v, v] = 1
-    adj_list = [int(a) for a in adj]
-    fl = f  # local alias
-    for mask in range(1, size):
-        row = fl[mask]
-        best = _INF
-        m = mask
-        while m:
-            b = m & (-m)
-            m ^= b
-            last = b.bit_length() - 1
-            prev = mask ^ b
-            if prev:
-                val = g[prev] + 1
-                cand = adj_list[last] & prev
-                if cand:
-                    mm = cand
-                    while mm:
-                        ub = mm & (-mm)
-                        mm ^= ub
-                        fv = fl[prev, ub.bit_length() - 1]
-                        if fv < val:
-                            val = fv
-                if val < row[last]:
-                    row[last] = val
-            if row[last] < best:
-                best = row[last]
-        g[mask] = best
-    return f, g
+    singles = np.int64(1) << np.arange(n, dtype=np.int64)
+    ft[np.arange(n), singles] = 1
+    g[singles] = 1
+    nbrs = [np.flatnonzero((int(adj[v]) >> np.arange(n)) & 1)[:, None]
+            for v in range(n)]
+    # layer k reads only rows of layer k - 1, which are final by then
+    for layer, splits in _layers(n):
+        for v, (masks, prev) in enumerate(splits):
+            val = g[prev] + 1
+            if len(nbrs[v]):
+                # ft[u, prev] is _INF for u outside prev, so every
+                # neighbour row may be read
+                val = np.minimum(val, ft[nbrs[v], prev].min(axis=0))
+            ft[v, masks] = val
+        g[layer] = ft[:, layer].min(axis=0)
+    return np.ascontiguousarray(ft.T), g
 
 
 def _reach_table_py(adj: np.ndarray, n: int):
-    size = 1 << n
-    R = np.zeros(size, dtype=np.int64)
-    adj_list = [int(a) for a in adj]
-    Rl = [0] * size
-    for v in range(n):
-        Rl[1 << v] = 1 << v
-    for mask in range(1, size):
-        if mask & (mask - 1) == 0:
-            continue
-        r = 0
-        m = mask
-        while m:
-            b = m & (-m)
-            m ^= b
-            v = b.bit_length() - 1
-            if Rl[mask ^ b] & adj_list[v]:
-                r |= b
-        Rl[mask] = r
-    R[:] = Rl
+    R = np.zeros(1 << n, dtype=np.int64)
+    singles = np.int64(1) << np.arange(n, dtype=np.int64)
+    R[singles] = singles
+    for _, splits in _layers(n):
+        for v, (masks, prev) in enumerate(splits):
+            R[masks[(R[prev] & adj[v]) != 0]] |= np.int64(1) << v
     return R
 
 
 def _terminal_sizes_py(g: np.ndarray, R: np.ndarray, n: int):
     full = (1 << n) - 1
-    out = np.full(n + 1, _INF, dtype=np.int64)
-    out[0] = g[full]
-    Rl = R
-    for mask in range(1, full + 1):
-        ends = int(Rl[mask])
-        if not ends:
-            continue
-        cand = 1 + int(g[full ^ mask])
-        m = ends
-        while m:
-            b = m & (-m)
-            m ^= b
-            t = b.bit_length() - 1
-            if cand < out[t + 1]:
-                out[t + 1] = cand
-    return out
+    out = [int(g[full])] + [_INF] * n
+    rest = g[::-1]  # rest[mask] = g[full ^ mask]
+    todo = full
+    # the smallest remainder cover whose complement has a Hamiltonian
+    # path ending at t decides t
+    for size in np.flatnonzero(np.bincount(rest)):
+        ends = int(np.bitwise_or.reduce(R[rest == size])) & todo
+        todo ^= ends
+        while ends:
+            b = ends & (-ends)
+            ends ^= b
+            out[b.bit_length()] = 1 + int(size)
+        if not todo:
+            break
+    return np.array(out, dtype=np.int64)
 
 
 if USING_NUMBA:

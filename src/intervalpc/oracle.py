@@ -1,4 +1,4 @@
-"""Exact exponential oracle and independent cover validators.
+"""Exact exponential oracle over vertex subsets.
 
 The oracle answers minimum path cover questions by dynamic programming
 over vertex subsets (see ``kernels``), deliberately sharing no code path
@@ -7,22 +7,25 @@ fixed-endpoint problem for *every* terminal at once: a vertex t admits a
 cover of the free optimum size with t as an endpoint iff some subset with
 a Hamiltonian path ending at t completes to the optimum.
 
-Validators check finished covers structurally: exact coverage,
-disjointness, edge validity, the terminal-endpoint condition, the
-degree-sum identity sum(d) = 2(n - lambda), and the endpoint non-nesting
-property of engine-built covers.
+The differential runner builds the tables once per instance: a row for
+a vertex subset reads only its submasks, so the rows below ``1 << i`` are
+already the tables of the prefix graph on the first i vertices, and one
+table pass answers every prefix.
+
+The structural validators live in ``validators`` (which loads no numpy)
+and are re-exported here.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
 
 import numpy as np
 
 from . import kernels
 from .engine import Path, PathCover, run_engine
 from .graphcore import OrderedGraph, build_ordering
+from .validators import check_nesting, validate_cover
 
 __all__ = [
     "InstanceTooLarge",
@@ -52,70 +55,6 @@ class OracleResult:
     def __repr__(self):
         extra = f", optima={len(self.all_optima)}" if self.all_optima is not None else ""
         return f"OracleResult(min_size={self.min_size}{extra})"
-
-
-# ----------------------------------------------------------------------
-# validators
-
-def validate_cover(g: OrderedGraph, cover: PathCover, terminal=None):
-    """Structural checks; returns a list of (kind, message) violations."""
-    out = []
-    n = g.n
-    if cover.n != n:
-        out.append(("SizeViolation", f"cover built for n={cover.n}, graph has n={n}"))
-    if cover.lam != len(cover.paths):
-        out.append(("SizeViolation", "lambda does not equal the path count"))
-    seen = {}
-    for idx, p in enumerate(cover.paths):
-        for v in p.vertices:
-            if not 1 <= v <= n:
-                out.append(("CoverageViolation", f"vertex {v} out of range"))
-            elif v in seen:
-                out.append(("DisjointnessViolation",
-                            f"vertex {v} in paths {seen[v]} and {idx}"))
-            else:
-                seen[v] = idx
-        for a, b in zip(p.vertices, p.vertices[1:]):
-            if not g.has_edge(a, b):
-                out.append(("AdjacencyViolation",
-                            f"consecutive pair ({a},{b}) is not an edge"))
-    missing = [v for v in range(1, n + 1) if v not in seen]
-    if missing:
-        out.append(("CoverageViolation", f"vertices not covered: {missing}"))
-    if terminal is not None:
-        hits = [idx for idx, p in enumerate(cover.paths)
-                if terminal in (p.vertices[0], p.vertices[-1])]
-        if len(hits) != 1:
-            out.append(("TerminalViolation",
-                        f"terminal {terminal} is an endpoint of {len(hits)} paths"))
-    # degree sum over the cover's paths
-    dsum = sum(2 * (len(p) - 1) for p in cover.paths)
-    if not missing and dsum != 2 * (n - cover.lam):
-        out.append(("DConnectivityViolation",
-                    f"sum of degrees {dsum} != 2(n - lambda) = {2 * (n - cover.lam)}"))
-    return out
-
-
-def check_nesting(g: OrderedGraph, cover: PathCover):
-    """Non-nesting of path endpoint spans (free paths only when a
-    terminal path exists, all pairs otherwise)."""
-    out = []
-    paths = list(enumerate(cover.paths))
-    if cover.terminal is not None:
-        paths = [(i, p) for i, p in paths if p.kind != "terminal"]
-    spans = [(i, min(p.endpoints), max(p.endpoints)) for i, p in paths]
-    # every path endpoint as (value, path, slot); a path never has an
-    # endpoint strictly inside its own span
-    ends = sorted((e, i, slot) for i, lo, hi in spans
-                  for slot, e in enumerate((lo, hi)))
-    values = [e for e, _, _ in ends]
-    for ia, lo_a, hi_a in spans:
-        inside = ends[bisect_right(values, lo_a):bisect_left(values, hi_a)]
-        for e, ib, _ in sorted(inside, key=lambda t: t[1:]):
-            out.append(("NestingViolation",
-                        f"endpoint {e} of path {ib} lies inside the "
-                        f"span ({lo_a},{hi_a}) of path {ia}"))
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -365,7 +304,9 @@ def diff_engine_vs_oracle(instances, prefix_mode=False, validate=True) -> DiffRe
 
     ``instances`` yields (label, IntervalModel).  Every terminal choice
     (including none) is compared; with ``prefix_mode`` the comparison also
-    runs after every processed prefix.
+    runs after every processed prefix.  One table pass per instance
+    answers the instance and every prefix: the first i vertices in the
+    right-endpoint order are the masks below ``1 << i``.
     """
     report = DiffReport()
     for label, model in instances:
@@ -374,7 +315,9 @@ def diff_engine_vs_oracle(instances, prefix_mode=False, validate=True) -> DiffRe
         if n > ORACLE_MAX_N:
             raise InstanceTooLarge(f"{label}: n={n} exceeds oracle bound")
         adj = masks_from_model_bruteforce(model)
-        sizes = oracle_sizes_all_terminals(adj, n)
+        _, g_tab = kernels.cover_tables(adj, n)
+        reach = kernels.reach_table(adj, n)
+        sizes = kernels.terminal_sizes(g_tab, reach, n)
         report.instances += 1
         engines = {}
         for term in [None] + list(range(1, n + 1)):
@@ -392,8 +335,7 @@ def diff_engine_vs_oracle(instances, prefix_mode=False, validate=True) -> DiffRe
                     report.add_violation(label, term, kind, msg)
         if prefix_mode and n > 1:
             for i in range(1, n + 1):
-                sub = adj[:i] & ((1 << i) - 1)
-                psizes = oracle_sizes_all_terminals(sub, i)
+                psizes = kernels.terminal_sizes(g_tab[:1 << i], reach[:1 << i], i)
                 for term, eng in engines.items():
                     if term is not None and term > i:
                         continue

@@ -62,17 +62,29 @@ def test_solve_terminal_out_of_range(tmp_path, capsys, terminal):
     assert "Traceback" not in captured.err and captured.out == ""
 
 
-def test_solve_interval_does_not_import_numpy(tmp_path):
-    f = write(tmp_path / "k4.ivl", K4)
-    # a fresh interpreter, on the same intervalpc as this one
+def run_fresh(argv):
+    """Exit code of cli.main(argv) in a fresh interpreter, on the same
+    intervalpc as this one, and whether numpy was loaded by then."""
     src = os.path.dirname(os.path.dirname(intervalpc.__file__))
     code = (f"import sys; sys.path.insert(0, {src!r}); "
             "from intervalpc.cli import main; "
-            f"rc = main(['solve', {f!r}, '--terminal', '2']); "
+            f"rc = main({argv!r}); "
             "print(rc, 'numpy' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, timeout=120)
-    assert proc.stdout.splitlines()[-1] == "0 False"
+    return proc.stdout.splitlines()[-1]
+
+
+def test_solve_interval_does_not_import_numpy(tmp_path):
+    f = write(tmp_path / "k4.ivl", K4)
+    assert run_fresh(["solve", f, "--terminal", "2"]) == "0 False"
+
+
+def test_verify_does_not_import_numpy(tmp_path):
+    f = write(tmp_path / "k4.ivl", K4)
+    cov = write(tmp_path / "cover.txt",
+                "lambda=1 terminal=2 n=4\nP1 T: 2 1 3 4\n")
+    assert run_fresh(["verify", f, cov]) == "0 False"
 
 
 def test_solve_ordering_violation(tmp_path):

@@ -1,5 +1,7 @@
 import json
 import pathlib
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -219,3 +221,62 @@ def test_incomparable_tie_prefix_graphs_solve_to_two(window, terminal):
     assert cover.lam == oracle_min_cover(g, terminal).min_size == 2
     assert not validate_cover(g, cover, terminal)
     assert not check_nesting(g, cover)
+
+
+# mixed-length intervals (expected degree 10) on which the threading
+# plans in ``_do_bridge`` decide a prefix answer: without them the
+# engine answers 5 after 33 vertices with terminal 12
+THREADED_PREFIX = [
+    (1, 35666, 42864), (2, 31067, 31264), (3, 862, 2703), (4, 36096, 51899),
+    (5, 30819, 33137), (6, 26026, 26500), (7, 41606, 49168),
+    (8, 25554, 28789), (9, 4196, 13376), (10, 2804, 2895), (11, 56723, 59348),
+    (12, 60303, 63943), (13, 60365, 64151), (14, 37808, 45780),
+    (15, 57597, 57703), (16, 32432, 42217), (17, 28584, 34201),
+    (18, 27600, 29017), (19, 22997, 24518), (20, 15229, 18559),
+    (21, 60879, 84721), (22, 39702, 40219), (23, 56402, 58670),
+    (24, 37483, 41119), (25, 13836, 26710), (26, 17503, 17693),
+    (27, 55963, 57883), (28, 22549, 24085), (29, 9880, 50368),
+    (30, 27210, 27341), (31, 40274, 41653), (32, 38428, 44613),
+    (33, 18289, 37208), (34, 20294, 28609), (35, 35099, 35738),
+    (36, 26734, 27622), (37, 45202, 51083), (38, 20567, 20999),
+    (39, 56472, 58265), (40, 34083, 39943), (41, 44628, 47441),
+    (42, 61644, 62564), (43, 41568, 42356), (44, 19732, 20600),
+    (45, 19856, 19889), (46, 27211, 28310), (47, 24675, 27582),
+    (48, 3937, 5111), (49, 23128, 24391), (50, 46330, 48284),
+    (51, 38625, 41901), (52, 63131, 66005), (53, 19571, 20692),
+    (54, 23852, 27977), (55, 55301, 56339), (56, 24717, 29591),
+    (57, 63659, 67521), (58, 20317, 23399), (59, 17653, 18256),
+    (60, 28523, 28819), (61, 39369, 40549), (62, 54626, 59450),
+    (63, 62959, 64152), (64, 42613, 45055),
+]
+
+
+def test_threading_plans_carry_a_prefix_answer():
+    eng = run_engine(graph_of(*THREADED_PREFIX), 12)
+    assert eng.lam_history[32] <= 4
+
+
+def _mixed_intervals(rng, n, degree, long_share=0.03, long_factor=25):
+    """Left ends uniform on [0, 1000 n); exponential lengths with mean
+    degree/2 units of 1000, a long_share of them long_factor times longer."""
+    mean_short = degree / 2.0 / (1 - long_share + long_share * long_factor)
+    out = []
+    for i in range(n):
+        lo = rng.randrange(n * 1000)
+        mean = mean_short * (long_factor if rng.random() < long_share else 1)
+        out.append((i + 1, lo, lo + int(rng.expovariate(1 / mean) * 1000)))
+    return out
+
+
+def test_shadow_rescue_keeps_only_the_best_trial():
+    # one shadow rescue here weighs 955 restructure trials, each a full
+    # engine clone; holding them all until the end takes about 45 MB
+    g = graph_of(*_mixed_intervals(random.Random("21/sparse/4"), 920, 6))
+    tracemalloc.start()
+    try:
+        cover = solve_1pc(g, terminal=654)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not validate_cover(g, cover, 654)
+    assert peak < 8 * 2 ** 20
