@@ -15,15 +15,21 @@ path of the augmented graph to a strict alternation and therefore to
 edges of G.  Any path handed back is still re-checked against the
 original edges; a failure there signals a solver bug, never a negative
 answer.
+
+With |X| = |Y| the augmented graph G' can be Hamiltonian while G is not,
+so a yes needs a Y-side fixed endpoint and the search tries every y.  A
+no is cheaper: G is a spanning subgraph of G' and lambda_T >= lambda for
+every terminal T, so when the free cover of G' needs two or more paths
+no terminal solve can succeed.  One free solve therefore settles most
+balanced questions without the loop.
+
+Only the brute-force oracle loads numpy, and it imports it on first use.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
 
-import numpy as np
-
-from . import kernels
 from .engine import InternalInvariantViolation, solve_1pc
 from .graphcore import IntervalModel, OrderedGraph, build_ordering
 
@@ -73,23 +79,26 @@ class BipartiteConvexGraph:
         self.Y = list(y_order)
         self.convexity = convexity
         self.edges = {(x, y) for x, y in edges}
-        xset, yset = set(self.X), set(self.Y)
-        if len(xset) != len(self.X) or len(yset) != len(self.Y):
+        xpos = {x: i + 1 for i, x in enumerate(self.X)}
+        ypos = {y: i + 1 for i, y in enumerate(self.Y)}
+        if len(xpos) != len(self.X) or len(ypos) != len(self.Y):
             raise ValueError("duplicate vertex labels")
+        # neighbour positions on the other side, sorted: X positions per y
+        # and Y positions per x, both from one pass over the edges
+        self.n_of = {y: [] for y in self.Y}
+        self._y_pos_of = {x: [] for x in self.X}
         for x, y in self.edges:
-            if x not in xset or y not in yset:
+            if x not in xpos or y not in ypos:
                 raise ValueError(f"edge ({x},{y}) uses unknown vertices")
-        self._xpos = {x: i + 1 for i, x in enumerate(self.X)}
-        self._ypos = {y: i + 1 for i, y in enumerate(self.Y)}
-        self.n_of = {}
-        for y in self.Y:
-            self.n_of[y] = sorted(self._xpos[x] for x, yy in self.edges if yy == y)
+            self.n_of[y].append(xpos[x])
+            self._y_pos_of[x].append(ypos[y])
+        for ps in self.n_of.values():
+            ps.sort()
+        for ps in self._y_pos_of.values():
+            ps.sort()
         self._check_consecutive(self.n_of, "Y", "X")
         if convexity == "bi":
-            nx = {}
-            for x in self.X:
-                nx[x] = sorted(self._ypos[y] for xx, y in self.edges if xx == x)
-            self._check_consecutive(nx, "X", "Y")
+            self._check_consecutive(self._y_pos_of, "X", "Y")
 
     @staticmethod
     def _check_consecutive(nbrs, side, other):
@@ -103,7 +112,7 @@ class BipartiteConvexGraph:
         return (ps[0], ps[-1]) if ps else None
 
     def x_run_over_y(self, x):
-        ps = sorted(self._ypos[y] for xx, y in self.edges if xx == x)
+        ps = self._y_pos_of[x]
         return (ps[0], ps[-1]) if ps else None
 
     def degree_y(self, y):
@@ -187,19 +196,52 @@ def _solve_free_hp(g, graph):
     return _validate_in_g(g, _path_labels(graph, cover))
 
 
-def _index_of_label(graph: OrderedGraph, label):
-    for v in range(1, graph.n + 1):
-        if graph.labels[v] == label:
-            return v
-    raise KeyError(label)
+def _vertex_of_label(graph: OrderedGraph):
+    return {graph.labels[v]: v for v in range(1, graph.n + 1)}
+
+
+def _hp_balanced(g: BipartiteConvexGraph, trace):
+    """HP question for |X| = |Y| through the Y-augmented graph G'.
+
+    Any HP of G has a Y-side end, so it is the one-path cover of G' with
+    a y as terminal; the alternation pins it to edges of G.  A degree-1 y
+    must be an end, so it is the only terminal worth trying.  Otherwise
+    the Y loop runs only when the free cover of G' is one path (see the
+    module docstring).
+    """
+    deg1 = [y for y in g.Y if g.degree_y(y) == 1]
+    if len(deg1) > 2:
+        if trace is not None:
+            trace.append("more than two degree-1 Y vertices: no HP")
+        return None
+    graph, _ = convexify(g, "add-Y-edges")
+    vertex = _vertex_of_label(graph)
+    if deg1:
+        if trace is not None:
+            trace.append(f"degree-1 shortcut through {deg1[0]!r}")
+        return _solve_terminal_hp(g, graph, vertex[("y", deg1[0])])
+    lam = solve_1pc(graph, terminal=None).lam
+    if lam != 1:
+        if trace is not None:
+            trace.append(f"augmented graph needs {lam} paths: no HP")
+        return None
+    for y in g.Y:
+        res = _solve_terminal_hp(g, graph, vertex[("y", y)])
+        if res is not None:
+            return res
+    return None
 
 
 def hp_biconvex(g: BipartiteConvexGraph, trace=None):
     """Hamiltonian path of a biconvex graph, or None.
 
     Balanced sides loop over all Y-side fixed endpoints of the augmented
-    graph (a degree-one y short-circuits the loop); a side bigger by one
-    needs only the free minimum path cover on the matching augmentation.
+    graph G' (a degree-one y short-circuits the loop).  The loop runs only
+    when the free cover of G' is one path: G is a spanning subgraph of G'
+    and lambda_T >= lambda for every terminal, so lambda(G') >= 2 already
+    means no HP.  A side bigger by one needs only the free minimum path
+    cover on the matching augmentation.  Reasons for a balanced answer are
+    appended to ``trace`` when a list is given.
     """
     if g.convexity != "bi":
         raise ConvexityViolation("hp_biconvex needs a biconvex input")
@@ -207,21 +249,7 @@ def hp_biconvex(g: BipartiteConvexGraph, trace=None):
     if abs(k - m) > 1:
         return None
     if k == m:
-        graph, _ = convexify(g, "add-Y-edges")
-        deg1 = [y for y in g.Y if g.degree_y(y) == 1]
-        if len(deg1) > 2:
-            if trace is not None:
-                trace.append("more than two degree-1 Y vertices: no HP")
-            return None
-        if deg1:
-            if trace is not None:
-                trace.append(f"degree-1 shortcut through {deg1[0]!r}")
-            return _solve_terminal_hp(g, graph, _index_of_label(graph, ("y", deg1[0])))
-        for y in g.Y:
-            res = _solve_terminal_hp(g, graph, _index_of_label(graph, ("y", y)))
-            if res is not None:
-                return res
-        return None
+        return _hp_balanced(g, trace)
     if k - m == 1:
         graph, _ = convexify(g, "add-Y-edges")
         return _solve_free_hp(g, graph)
@@ -242,14 +270,15 @@ def onehp_biconvex(g: BipartiteConvexGraph, start):
         return None  # endpoints of any HP both lie in X
     side = "add-Y-edges" if k == m else "add-X-edges"
     graph, _ = convexify(g, side)
-    res = _solve_terminal_hp(g, graph, _index_of_label(graph, ("y", start)))
+    res = _solve_terminal_hp(g, graph, _vertex_of_label(graph)[("y", start)])
     if res is not None and res[0] != ("y", start):
         res.reverse()
     return res
 
 
-def hp_xconvex(g: BipartiteConvexGraph):
-    """HP on an X-convex graph; supported when |X|=|Y| or |X|-|Y|=1."""
+def hp_xconvex(g: BipartiteConvexGraph, trace=None):
+    """HP on an X-convex graph; supported when |X|=|Y| or |X|-|Y|=1.
+    The balanced case is the one of ``hp_biconvex``, trace included."""
     k, m = len(g.X), len(g.Y)
     if abs(k - m) > 1:
         return None
@@ -257,19 +286,10 @@ def hp_xconvex(g: BipartiteConvexGraph):
         raise UnsupportedCase(
             "|Y|-|X|=1 on an X-convex graph needs the two-fixed-endpoint "
             "problem, which is open")
+    if k == m:
+        return _hp_balanced(g, trace)
     graph, _ = convexify(g, "add-Y-edges")
-    if k - m == 1:
-        return _solve_free_hp(g, graph)
-    deg1 = [y for y in g.Y if g.degree_y(y) == 1]
-    if len(deg1) > 2:
-        return None
-    if deg1:
-        return _solve_terminal_hp(g, graph, _index_of_label(graph, ("y", deg1[0])))
-    for y in g.Y:
-        res = _solve_terminal_hp(g, graph, _index_of_label(graph, ("y", y)))
-        if res is not None:
-            return res
-    return None
+    return _solve_free_hp(g, graph)
 
 
 def onehp_xconvex(g: BipartiteConvexGraph, start):
@@ -286,11 +306,11 @@ def onehp_xconvex(g: BipartiteConvexGraph, start):
             raise UnsupportedCase(
                 "|X|=|Y| with a start in X needs the two-fixed-endpoint problem")
         graph, _ = convexify(g, "add-Y-edges")
-        res = _solve_terminal_hp(g, graph, _index_of_label(graph, ("y", start)))
+        res = _solve_terminal_hp(g, graph, _vertex_of_label(graph)[("y", start)])
     elif k - m == 1:
         graph, _ = convexify(g, "add-Y-edges")
         tag = "x" if in_x else "y"
-        res = _solve_terminal_hp(g, graph, _index_of_label(graph, (tag, start)))
+        res = _solve_terminal_hp(g, graph, _vertex_of_label(graph)[(tag, start)])
     else:  # m - k == 1
         if in_x:
             return None  # endpoints of any HP both lie in Y
@@ -307,6 +327,9 @@ def onehp_xconvex(g: BipartiteConvexGraph, start):
 def hp_oracle_from(labels, adjacency) -> bool:
     """Does the graph on ``labels`` with ``adjacency[u] = iterable of
     neighbours`` have a Hamiltonian path?  Bitmask DP, n <= 20."""
+    import numpy as np
+
+    from . import kernels
     n = len(labels)
     if n == 0:
         return True
@@ -431,7 +454,11 @@ def parse_bipartite_file(text: str) -> BipartiteConvexGraph:
         if not line:
             continue
         if header is None:
-            fields = dict(tok.split("=", 1) for tok in line.split())
+            fields = dict(tok.partition("=")[::2] for tok in line.split())
+            missing = [key for key in ("X", "Y", "convex") if not fields.get(key)]
+            if missing:
+                raise ValueError(f"line {ln}: header needs "
+                                 + " ".join(f"{key}=" for key in missing))
             header = (int(fields["X"]), int(fields["Y"]), fields["convex"])
             continue
         if line.startswith("X:"):

@@ -92,16 +92,20 @@ def _solve_bipartite(args):
     if args.terminal is not None and not 1 <= args.terminal <= len(g.Y):
         print(f"error: terminal {args.terminal} out of range 1..{len(g.Y)}", file=sys.stderr)
         return EXIT_PARSE
+    trace = [] if args.trace else None
     try:
         if args.terminal is not None:
             start = g.Y[args.terminal - 1]
             path = (onehp_biconvex(g, start) if g.convexity == "bi"
                     else onehp_xconvex(g, start))
         else:
-            path = hp_biconvex(g) if g.convexity == "bi" else hp_xconvex(g)
+            hp = hp_biconvex if g.convexity == "bi" else hp_xconvex
+            path = hp(g, trace=trace)
     except (UnsupportedCase, StartNotInY, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    for reason in trace or ():
+        print(f"# {reason}", file=sys.stderr)
     if path is None:
         print("hp=no")
     else:

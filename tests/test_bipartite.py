@@ -2,15 +2,16 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from intervalpc import kernels
+from intervalpc import bipartite, kernels
 from intervalpc.bipartite import (BipartiteConvexGraph, ConvexityViolation,
                                   StartNotInY, UnsupportedCase, convexify,
                                   find_observation51_counterexample,
                                   hp_biconvex, hp_oracle, onehp_biconvex,
                                   hp_xconvex, onehp_xconvex,
                                   parse_bipartite_file, write_bipartite_file,
-                                  _augmented_hp)
+                                  _augmented_hp, _solve_terminal_hp)
 from intervalpc.generators import GenSpec, gen_biconvex
 
 
@@ -117,6 +118,89 @@ def test_degree_one_shortcut():
     trace2 = []
     assert hp_biconvex(g2, trace=trace2) is None
     assert any("degree-1" in line for line in trace2)
+
+
+def _runs_graph(runs, convexity):
+    """|X| = |Y| = len(runs); y_i sees x_a..x_b for runs[i-1] = (a, b),
+    nothing for None."""
+    k = len(runs)
+    edges = [(f"x{j}", f"y{i}") for i, run in enumerate(runs, 1) if run
+             for j in range(run[0], run[1] + 1)]
+    return BipartiteConvexGraph([f"x{j}" for j in range(1, k + 1)],
+                                [f"y{i}" for i in range(1, k + 1)],
+                                edges, convexity)
+
+
+# two connected pieces side by side, no degree-1 y in either
+PIECE6 = [(1, 2), (1, 3), (2, 4), (3, 5), (4, 6), (5, 6)]
+TWO_PIECES = PIECE6 + [(a + 6, b + 6) for a, b in PIECE6]
+
+
+@pytest.mark.parametrize("hp", [hp_biconvex, hp_xconvex])
+def test_free_solve_settles_two_pieces(monkeypatch, hp):
+    calls = []
+    real = bipartite.solve_1pc
+
+    def counting(graph, terminal=None, **kwargs):
+        calls.append(terminal)
+        return real(graph, terminal=terminal, **kwargs)
+
+    monkeypatch.setattr(bipartite, "solve_1pc", counting)
+    trace = []
+    assert hp(_runs_graph(TWO_PIECES, "bi"), trace=trace) is None
+    assert calls == [None]
+    assert trace == ["augmented graph needs 2 paths: no HP"]
+
+
+def hp_loop_reference(g):
+    """The balanced HP search without the free-solve gate: the degree-1
+    shortcut, else one terminal solve per y in Y order."""
+    graph, _ = convexify(g, "add-Y-edges")
+    vertex = {graph.label_of(v): v for v in range(1, graph.n + 1)}
+    deg1 = [y for y in g.Y if g.degree_y(y) == 1]
+    if len(deg1) > 2:
+        return None
+    if deg1:
+        return _solve_terminal_hp(g, graph, vertex[("y", deg1[0])])
+    for y in g.Y:
+        res = _solve_terminal_hp(g, graph, vertex[("y", y)])
+        if res is not None:
+            return res
+    return None
+
+
+@st.composite
+def balanced_runs(draw, max_k=10):
+    """(runs, convexity) of a balanced graph with |X| = |Y| <= max_k.
+    "bi": run starts and ends non-decreasing along Y, in one piece or two
+    side by side; "x": any runs, some of them empty."""
+    k = draw(st.integers(1, max_k))
+    if not draw(st.booleans()):
+        run = st.tuples(st.integers(1, k), st.integers(0, k - 1)).map(
+            lambda t: (t[0], min(k, t[0] + t[1])))
+        return draw(st.lists(st.none() | run, min_size=k, max_size=k)), "x"
+
+    def piece(size, offset):
+        runs, a, b = [], 1, 1
+        for _ in range(size):
+            a = min(size, a + draw(st.integers(0, 2)))
+            b = min(size, max(b, a + draw(st.integers(0, 3))))
+            runs.append((a + offset, b + offset))
+        return runs
+
+    cut = draw(st.integers(0, k - 1))   # 0: one piece
+    return (piece(cut, 0) + piece(k - cut, cut) if cut else piece(k, 0)), "bi"
+
+
+@settings(max_examples=300, deadline=None)
+@given(balanced_runs())
+def test_balanced_hp_matches_loop_reference(case):
+    runs, convexity = case
+    g = _runs_graph(runs, convexity)
+    ref = hp_loop_reference(g)
+    assert hp_xconvex(g) == ref
+    if convexity == "bi":
+        assert hp_biconvex(g) == ref
 
 
 def test_xconvex_cases():

@@ -168,6 +168,23 @@ def test_gen_biconvex_roundtrip(tmp_path, capsys):
     assert len(g.X) == 4 and len(g.Y) == 4
 
 
+def bip_text(runs):
+    """Balanced .bip text in which y_i sees x_a..x_b for runs[i-1] = (a, b)."""
+    k = len(runs)
+    lines = [f"X={k} Y={k} convex=bi",
+             "X: " + " ".join(f"x{j}" for j in range(1, k + 1)),
+             "Y: " + " ".join(f"y{i}" for i in range(1, k + 1))]
+    lines += [f"x{j} y{i}" for i, (a, b) in enumerate(runs, 1)
+              for j in range(a, b + 1)]
+    return "\n".join(lines) + "\n"
+
+
+# balanced and Hamiltonian (y1 x1 y2 x2 y3 x3), no degree-1 y
+PIECE3 = [(1, 2), (1, 3), (2, 3)]
+BALANCED3 = bip_text(PIECE3)
+TWO_PIECES = bip_text(PIECE3 + [(a + 3, b + 3) for a, b in PIECE3])
+
+
 def test_solve_bipartite(tmp_path, capsys):
     f = write(tmp_path / "p5.bip",
               "X=2 Y=3 convex=bi\nX: x1 x2\nY: y1 y2 y3\n"
@@ -183,6 +200,38 @@ def test_solve_bipartite(tmp_path, capsys):
         captured = capsys.readouterr()
         assert f"terminal {terminal} out of range 1..3" in captured.err
         assert captured.out == ""
+
+
+@pytest.mark.parametrize("extra", [[], ["--terminal", "2"]])
+def test_solve_bipartite_does_not_import_numpy(tmp_path, extra):
+    f = write(tmp_path / "b3.bip", BALANCED3)
+    assert run_fresh(["solve", f, "--format", "bipartite"] + extra) == "0 False"
+
+
+@pytest.mark.parametrize("header, field", [("Y=2 convex=bi", "X="),
+                                           ("X=2 convex=bi", "Y="),
+                                           ("X=2 Y=2", "convex="),
+                                           ("X: x1 x2", "X= Y= convex=")])
+def test_solve_bipartite_missing_header_field(tmp_path, capsys, header, field):
+    f = write(tmp_path / "bad.bip", header + "\nX: x1 x2\nY: y1 y2\nx1 y1\n")
+    assert main(["solve", f, "--format", "bipartite"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: line 1: header needs {field}\n"
+    assert captured.out == ""
+
+
+def test_solve_bipartite_trace(tmp_path, capsys):
+    f = write(tmp_path / "two.bip", TWO_PIECES)
+    assert main(["solve", f, "--format", "bipartite"]) == 0
+    plain = capsys.readouterr()
+    assert plain.out == "hp=no\n" and plain.err == ""
+    assert main(["solve", f, "--format", "bipartite", "--trace"]) == 0
+    traced = capsys.readouterr()
+    assert traced.out == plain.out
+    assert traced.err == "# augmented graph needs 2 paths: no HP\n"
+    f = write(tmp_path / "b3.bip", BALANCED3)
+    assert main(["solve", f, "--format", "bipartite", "--trace"]) == 0
+    assert capsys.readouterr() == ("hp=yes\ny1 x1 y2 x2 y3 x3\n", "")
 
 
 def test_bench_tiny(capsys):
