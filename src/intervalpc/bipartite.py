@@ -326,13 +326,12 @@ def onehp_xconvex(g: BipartiteConvexGraph, start):
 
 def hp_oracle_from(labels, adjacency) -> bool:
     """Does the graph on ``labels`` with ``adjacency[u] = iterable of
-    neighbours`` have a Hamiltonian path?  Bitmask DP, n <= 20."""
+    neighbours`` have a Hamiltonian path, a cover by one path (so the
+    empty graph has none)?  Bitmask DP, n <= 20."""
     import numpy as np
 
     from . import kernels
     n = len(labels)
-    if n == 0:
-        return True
     if n > 20:
         raise ValueError("brute-force HP oracle capped at 20 vertices")
     idx = {lab: i for i, lab in enumerate(labels)}

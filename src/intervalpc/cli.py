@@ -2,11 +2,12 @@
 
 Subcommands: solve (path covers / HP questions), verify (check a cover
 file against a graph file), oracle (differential engine-vs-oracle runs),
-bench (engine scaling and kernel backend comparison), gen (random
+bench (engine scaling, and the oracle kernels timed alone), gen (random
 instance files).
 
 Exit codes: 0 success, 1 failed verification or oracle mismatch, 2 parse
-error, 3 invalid claimed ordering, 4 instance too large for the oracle.
+error or invalid argument, 3 invalid claimed ordering, 4 instance too
+large for the oracle.
 Modules that load numpy are imported only by the subcommands using them.
 """
 
@@ -136,32 +137,30 @@ def cmd_verify(args):
     return EXIT_OK
 
 
-def _labelled_models(args):
+def cmd_oracle(args):
     from .generators import GenSpec, exhaustive_interval_models, gen_interval
+    from .oracle import InstanceTooLarge, diff_engine_vs_oracle
     if args.exhaustive is not None:
         n = args.exhaustive
-        for idx, model in enumerate(exhaustive_interval_models(n)):
-            yield (f"exhaustive-n{n}-{idx}", model)
+        models = [(f"exhaustive-n{n}-{idx}", model)
+                  for idx, model in enumerate(exhaustive_interval_models(n))]
+        repro = f"intervalpc oracle --exhaustive n={n}"
     else:
-        spec = GenSpec(kind="interval", n=args.n, density=args.density,
-                       seed=args.seed, count=args.random)
-        for idx, model in enumerate(gen_interval(spec)):
-            yield (f"random-seed{args.seed}-{idx}", model)
-
-
-def cmd_oracle(args):
-    from .oracle import InstanceTooLarge, diff_engine_vs_oracle
-    models = list(_labelled_models(args))
+        try:
+            spec = GenSpec(kind="interval", n=args.n, density=args.density,
+                           seed=args.seed, count=args.random)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PARSE
+        models = [(f"random-seed{args.seed}-{idx}", model)
+                  for idx, model in enumerate(gen_interval(spec))]
+        repro = (f"intervalpc oracle --random count={args.random} "
+                 f"--n {args.n} --density {args.density} --seed {args.seed}")
     try:
         report = diff_engine_vs_oracle(models, prefix_mode=args.prefix)
     except InstanceTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
-    if args.exhaustive is not None:
-        repro = f"intervalpc oracle --exhaustive n={args.exhaustive}"
-    else:
-        repro = (f"intervalpc oracle --random count={args.random} "
-                 f"--n {args.n} --density {args.density} --seed {args.seed}")
     if args.json:
         print(report.to_json())
     else:
@@ -184,19 +183,22 @@ def cmd_oracle(args):
 
 
 def cmd_bench(args):
-    from . import kernels
     from .generators import GenSpec, gen_interval
-    sizes = [int(s) for s in args.sizes.split(",")]
-    reps = args.reps
-    print(f"kernel backend: {kernels.backend_name()}")
+    try:
+        sizes = [int(s) for s in args.sizes.split(",")]
+        if min(sizes) < 1 or args.reps < 1:
+            raise ValueError("--sizes and --reps must be positive")
+        specs = [GenSpec(kind="interval", n=n, density=args.density,
+                         seed=args.seed, count=args.reps) for n in sizes]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     rows = []
-    for n in sizes:
-        spec = GenSpec(kind="interval", n=n, density=args.density,
-                       seed=args.seed, count=reps)
-        models = gen_interval(spec)
+    for spec in specs:
+        n = spec.n
         times = []
         lam = None
-        for model in models:
+        for model in gen_interval(spec):
             g = build_ordering(model)
             t0 = time.perf_counter()
             cover = solve_1pc(g, terminal=(n // 2 or None))
@@ -206,7 +208,7 @@ def cmd_bench(args):
         med = times[len(times) // 2]
         rows.append((n, med))
         print(f"n={n:>7d}  median={med * 1000:10.2f} ms  lambda={lam}")
-    if len(rows) >= 2:
+    if len({n for n, _ in rows}) >= 2:  # a fit needs two distinct sizes
         xs = [math.log(n) for n, _ in rows]
         ys = [math.log(max(t, 1e-9)) for _, t in rows]
         mean_x = sum(xs) / len(xs)
@@ -220,33 +222,31 @@ def cmd_bench(args):
 
 
 def _bench_kernels(args):
-    """Time the oracle kernels alone, per backend present and per size."""
+    """Time the three oracle kernels alone, per size."""
     from . import kernels
     from .generators import GenSpec, gen_interval
     from .oracle import adjacency_masks
-    backends = ([False] if kernels.USING_NUMBA else []) + [True]
     for n in (8, 10, 12):
         spec = GenSpec(kind="interval", n=n, density=0.5, seed=args.seed, count=20)
         adjs = [adjacency_masks(build_ordering(m)) for m in gen_interval(spec)]
-        for pure in backends:
-            name = "pure" if pure else "numba"
-            # warm up compilation outside the timed region
-            kernels.cover_tables(adjs[0], n, pure=pure)
-            t0 = time.perf_counter()
-            for adj in adjs:
-                _, g_tab = kernels.cover_tables(adj, n, pure=pure)
-                reach = kernels.reach_table(adj, n, pure=pure)
-                kernels.terminal_sizes(g_tab, reach, n, pure=pure)
-            dt = time.perf_counter() - t0
-            print(f"oracle kernels [{name:5s}] n={n:>2d}: "
-                  f"{dt * 1000 / len(adjs):8.2f} ms/instance")
+        t0 = time.perf_counter()
+        for adj in adjs:
+            _, g_tab = kernels.cover_tables(adj, n)
+            reach = kernels.reach_table(adj, n)
+            kernels.terminal_sizes(g_tab, reach, n)
+        dt = time.perf_counter() - t0
+        print(f"oracle kernels n={n:>2d}: {dt * 1000 / len(adjs):8.2f} ms/instance")
 
 
 def cmd_gen(args):
     from .bipartite import write_bipartite_file
     from .generators import GenSpec, gen_biconvex, gen_interval
-    spec = GenSpec(kind=args.kind, n=args.n, nx=args.nx, ny=args.ny,
-                   density=args.density, seed=args.seed, count=args.count)
+    try:
+        spec = GenSpec(kind=args.kind, n=args.n, nx=args.nx, ny=args.ny,
+                       density=args.density, seed=args.seed, count=args.count)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     if args.kind == "interval":
         for idx, model in enumerate(gen_interval(spec)):
             path = f"{args.out}-{idx}.ivl" if spec.count > 1 else f"{args.out}.ivl"
@@ -306,8 +306,8 @@ def build_parser():
     p.add_argument("--density", type=float, default=0.9)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--kernels", action="store_true",
-                   help="also time the oracle kernels alone, per backend "
-                        "present, at n = 8, 10 and 12")
+                   help="also time the oracle kernels alone at n = 8, 10 "
+                        "and 12")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("gen", help="write random instance files")

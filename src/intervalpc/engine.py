@@ -246,10 +246,6 @@ class _Engine:
         rec = self.paths[self.terminal_pid]
         return rec[0] == rec[1]  # trivial terminal path keeps a free side
 
-    def path_sequence(self, p):
-        rec = self.paths[p]
-        return self._walk(rec[0], None)
-
     def _walk(self, start, stop_after=None):
         seq = [start]
         prev = 0

@@ -3,13 +3,12 @@
 These are the hot inner loops of the differential-testing campaigns.  One
 table pass per instance answers the whole instance and every prefix of it
 (see ``oracle.diff_engine_vs_oracle``), across tens of thousands of
-instances.  By default they are compiled with numba when it is installed.
-Otherwise, or with ``INTERVALPC_PURE=1`` in the environment, the pure
-numpy implementations run: they fill the tables one popcount layer at a
-time, all masks of size k at once, since a row of layer k reads only rows
-of layer k - 1.  Beside the tables and an n x 2^n boolean membership
-array, their temporaries stay O(C(n, k) * n) small integers per layer.
-``intervalpc bench --kernels`` times each backend present.
+instances.  They are numpy throughout and fill the tables one popcount
+layer at a time, all masks of size k at once, since a row of layer k
+reads only rows of layer k - 1.  Beside the tables and an n x 2^n boolean
+membership array, their temporaries stay O(C(n, k) * n) small integers
+per layer.  At n = 0 each returns the one row of the empty graph.
+``intervalpc bench --kernels`` times them alone.
 
 State encoding: vertices 0..n-1, subsets as int64 bitmasks, ``adj[v]`` the
 neighbour bitmask of v.  A row for a mask reads only its submasks, so the
@@ -27,21 +26,9 @@ rows below ``1 << i`` are the tables of the subgraph induced by vertices
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 _INF = 127  # int8 sentinel; path counts never exceed the vertex bound
-
-PURE_REQUESTED = os.environ.get("INTERVALPC_PURE", "") not in ("", "0")
-
-USING_NUMBA = False
-if not PURE_REQUESTED:
-    try:
-        from numba import njit
-        USING_NUMBA = True
-    except ImportError:
-        USING_NUMBA = False
 
 
 def _layers(n: int):
@@ -66,7 +53,8 @@ def _layers(n: int):
         yield layer, splits
 
 
-def _cover_tables_py(adj: np.ndarray, n: int):
+def cover_tables(adj: np.ndarray, n: int):
+    """Minimum path cover DP tables (f, g) for the graph given as bitmasks."""
     size = 1 << n
     # filled transposed, ft[last, mask], so that the minimum over
     # neighbour columns runs along contiguous rows
@@ -91,7 +79,8 @@ def _cover_tables_py(adj: np.ndarray, n: int):
     return np.ascontiguousarray(ft.T), g
 
 
-def _reach_table_py(adj: np.ndarray, n: int):
+def reach_table(adj: np.ndarray, n: int):
+    """Hamiltonian-path endpoint reachability table R."""
     R = np.zeros(1 << n, dtype=np.int64)
     singles = np.int64(1) << np.arange(n, dtype=np.int64)
     R[singles] = singles
@@ -101,7 +90,8 @@ def _reach_table_py(adj: np.ndarray, n: int):
     return R
 
 
-def _terminal_sizes_py(g: np.ndarray, R: np.ndarray, n: int):
+def terminal_sizes(g: np.ndarray, R: np.ndarray, n: int):
+    """Array [lam_free, lam_T(v_1), ..., lam_T(v_n)] from the DP tables."""
     full = (1 << n) - 1
     out = [int(g[full])] + [_INF] * n
     rest = g[::-1]  # rest[mask] = g[full ^ mask]
@@ -118,99 +108,3 @@ def _terminal_sizes_py(g: np.ndarray, R: np.ndarray, n: int):
         if not todo:
             break
     return np.array(out, dtype=np.int64)
-
-
-if USING_NUMBA:
-
-    @njit(cache=True)
-    def _cover_tables_nb(adj, n):  # pragma: no cover - exercised via wrapper
-        size = 1 << n
-        f = np.full((size, n), _INF, dtype=np.int8)
-        g = np.full(size, _INF, dtype=np.int8)
-        g[0] = 0
-        for v in range(n):
-            f[1 << v, v] = 1
-        for mask in range(1, size):
-            best = _INF
-            for last in range(n):
-                if not (mask >> last) & 1:
-                    continue
-                prev = mask ^ (1 << last)
-                if prev:
-                    val = g[prev] + 1
-                    cand = adj[last] & prev
-                    for u in range(n):
-                        if (cand >> u) & 1 and f[prev, u] < val:
-                            val = f[prev, u]
-                    if val < f[mask, last]:
-                        f[mask, last] = val
-                if f[mask, last] < best:
-                    best = f[mask, last]
-            g[mask] = best
-        return f, g
-
-    @njit(cache=True)
-    def _reach_table_nb(adj, n):  # pragma: no cover
-        size = 1 << n
-        R = np.zeros(size, dtype=np.int64)
-        for v in range(n):
-            R[1 << v] = 1 << v
-        for mask in range(1, size):
-            if mask & (mask - 1) == 0:
-                continue
-            r = np.int64(0)
-            for v in range(n):
-                if (mask >> v) & 1 and R[mask ^ (1 << v)] & adj[v]:
-                    r |= np.int64(1) << v
-            R[mask] = r
-        return R
-
-    @njit(cache=True)
-    def _terminal_sizes_nb(g, R, n):  # pragma: no cover
-        full = (1 << n) - 1
-        out = np.full(n + 1, _INF, dtype=np.int64)
-        out[0] = g[full]
-        for mask in range(1, full + 1):
-            ends = R[mask]
-            if ends == 0:
-                continue
-            cand = 1 + g[full ^ mask]
-            for t in range(n):
-                if (ends >> t) & 1 and cand < out[t + 1]:
-                    out[t + 1] = cand
-        return out
-
-
-def cover_tables(adj: np.ndarray, n: int, pure: bool | None = None):
-    """Minimum path cover DP tables (f, g) for the graph given as bitmasks."""
-    if n == 0:
-        return np.zeros((1, 0), dtype=np.int8), np.zeros(1, dtype=np.int8)
-    use_pure = PURE_REQUESTED if pure is None else pure
-    if USING_NUMBA and not use_pure:
-        return _cover_tables_nb(adj, n)
-    return _cover_tables_py(adj, n)
-
-
-def reach_table(adj: np.ndarray, n: int, pure: bool | None = None):
-    """Hamiltonian-path endpoint reachability table R."""
-    if n == 0:
-        return np.zeros(1, dtype=np.int64)
-    use_pure = PURE_REQUESTED if pure is None else pure
-    if USING_NUMBA and not use_pure:
-        return _reach_table_nb(adj, n)
-    return _reach_table_py(adj, n)
-
-
-def terminal_sizes(g: np.ndarray, R: np.ndarray, n: int, pure: bool | None = None):
-    """Array [lam_free, lam_T(v_1), ..., lam_T(v_n)] from the DP tables."""
-    if n == 0:
-        return np.zeros(1, dtype=np.int64)
-    use_pure = PURE_REQUESTED if pure is None else pure
-    if USING_NUMBA and not use_pure:
-        return _terminal_sizes_nb(g, R, n)
-    return _terminal_sizes_py(g, R, n)
-
-
-def backend_name(pure: bool | None = None) -> str:
-    use_pure = PURE_REQUESTED if pure is None else pure
-    return "numba" if (USING_NUMBA and not use_pure) else "pure"

@@ -90,8 +90,6 @@ def masks_from_model_bruteforce(model) -> np.ndarray:
 
 def oracle_sizes_all_terminals(adj: np.ndarray, n: int) -> np.ndarray:
     """[lam_free, lam_T(1), ..., lam_T(n)] for the graph given as masks."""
-    if n == 0:
-        return np.zeros(1, dtype=np.int64)
     _, g_tab = kernels.cover_tables(adj, n)
     reach = kernels.reach_table(adj, n)
     return kernels.terminal_sizes(g_tab, reach, n)

@@ -241,8 +241,10 @@ def _random_biconvex(rng, total):
 
 def test_hp_biconvex_matches_oracle_random():
     rng = random.Random(21)
-    for _ in range(300):
-        g = _random_biconvex(rng, rng.randint(2, 10))
+    # the empty graph has no path cover of size one, so no HP
+    graphs = [BipartiteConvexGraph([], [], [], "bi")]
+    graphs += [_random_biconvex(rng, rng.randint(2, 10)) for _ in range(300)]
+    for g in graphs:
         got = hp_biconvex(g)
         assert (got is not None) == hp_oracle(g), (g.X, g.Y, sorted(g.edges))
         if got is not None:
@@ -299,6 +301,8 @@ def _random_xconvex(rng, k, m):
 
 
 def test_hp_xconvex_matches_oracle_supported_sizes():
+    empty = BipartiteConvexGraph([], [], [], "x")
+    assert (hp_xconvex(empty) is not None) == hp_oracle(empty)
     rng = random.Random(41)
     checked = 0
     while checked < 250:

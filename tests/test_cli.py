@@ -146,6 +146,15 @@ def test_oracle_too_large(capsys):
     assert main(["oracle", "--random", "count=1", "--n", "14"]) == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--random", "count=3", "--density", "2"],
+    ["oracle", "--random", "count=-1"],
+])
+def test_oracle_bad_generator_arguments(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_oracle_json(capsys):
     assert main(["oracle", "--random", "count=5", "--n", "5", "--json"]) == 0
     assert '"mismatches": []' in capsys.readouterr().out
@@ -157,6 +166,16 @@ def test_gen_deterministic(tmp_path):
     main(["gen", "--n", "9", "--seed", "31", "--out", out1])
     main(["gen", "--n", "9", "--seed", "31", "--out", out2])
     assert open(out1 + ".ivl").read() == open(out2 + ".ivl").read()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--density", "2"],
+    ["gen", "--n", "-1"],
+])
+def test_gen_bad_arguments(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "g")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(tmp_path.iterdir())
 
 
 def test_gen_biconvex_roundtrip(tmp_path, capsys):
@@ -238,7 +257,28 @@ def test_bench_tiny(capsys):
     assert main(["bench", "--sizes", "60,120", "--reps", "2",
                  "--kernels"]) == 0
     out = capsys.readouterr().out
-    assert "scaling exponent" in out and "oracle kernels" in out
+    assert "scaling exponent" in out and "backend" not in out
+    kernel_lines = [line for line in out.splitlines()
+                    if line.startswith("oracle kernels n=")]
+    assert [line.split(":")[0] for line in kernel_lines] == [
+        "oracle kernels n= 8", "oracle kernels n=10", "oracle kernels n=12"]
+
+
+def test_bench_one_repeated_size_has_no_fit(capsys):
+    assert main(["bench", "--sizes", "20,20", "--reps", "1"]) == 0
+    assert "scaling exponent" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--sizes", "abc"],
+    ["bench", "--density", "7"],
+    ["bench", "--sizes", "0"],
+    ["bench", "--reps", "0"],
+])
+def test_bench_bad_arguments(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
 
 
 def test_solve_cover_roundtrips_for_random_instances(tmp_path):

@@ -1,16 +1,12 @@
-import random
-
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from intervalpc import kernels
-from intervalpc.graphcore import IntervalModel, build_ordering
-from intervalpc.oracle import adjacency_masks, oracle_sizes_all_terminals
+from intervalpc.oracle import oracle_sizes_all_terminals
 
 # ----------------------------------------------------------------------
 # reference kernels: the per-mask loops, one mask at a time in
-# increasing order, against which the layered numpy backend is checked
+# increasing order, against which the layered numpy kernels are checked
 
 _INF = kernels._INF
 
@@ -66,30 +62,6 @@ def ref_terminal_sizes(g, R, n):
     return out
 
 
-
-def random_masks(rng, n):
-    m = IntervalModel([(i, lo, lo + rng.randint(0, n))
-                       for i, lo in ((i, rng.randint(0, 2 * n))
-                                     for i in range(1, n + 1))])
-    return adjacency_masks(build_ordering(m))
-
-
-@pytest.mark.skipif(not kernels.USING_NUMBA, reason="numba backend unavailable")
-def test_backends_agree():
-    rng = random.Random(12)
-    for _ in range(40):
-        n = rng.randint(1, 11)
-        adj = random_masks(rng, n)
-        f_nb, g_nb = kernels.cover_tables(adj, n, pure=False)
-        f_py, g_py = kernels.cover_tables(adj, n, pure=True)
-        assert (f_nb == f_py).all() and (g_nb == g_py).all()
-        r_nb = kernels.reach_table(adj, n, pure=False)
-        r_py = kernels.reach_table(adj, n, pure=True)
-        assert (r_nb == r_py).all()
-        t_nb = kernels.terminal_sizes(g_nb, r_nb, n, pure=False)
-        assert (t_nb == kernels.terminal_sizes(g_py, r_py, n, pure=True)).all()
-
-
 @st.composite
 def any_graph(draw, max_n=10):
     """An arbitrary graph (not only an interval graph) as bitmasks."""
@@ -111,14 +83,14 @@ def same(a, b):
 @given(any_graph())
 def test_pure_kernels_match_reference_loops(graph):
     adj, n = graph
-    f, g = kernels.cover_tables(adj, n, pure=True)
+    f, g = kernels.cover_tables(adj, n)
     f_ref, g_ref = ref_cover_tables(adj, n)
     assert same(f, f_ref) and same(g, g_ref)
-    reach = kernels.reach_table(adj, n, pure=True)
+    reach = kernels.reach_table(adj, n)
     r_ref = ref_reach_table(adj, n)
     assert same(reach, r_ref)
     for i in range(1, n + 1):
-        sizes = kernels.terminal_sizes(g[:1 << i], reach[:1 << i], i, pure=True)
+        sizes = kernels.terminal_sizes(g[:1 << i], reach[:1 << i], i)
         assert same(sizes, ref_terminal_sizes(g_ref[:1 << i], r_ref[:1 << i], i))
 
 
@@ -138,21 +110,27 @@ def test_prefix_sizes_from_sliced_tables(graph):
 def test_pure_tables_known_values():
     # triangle: one path suffices, every vertex can end a spanning path
     adj = np.array([0b110, 0b101, 0b011], dtype=np.int64)
-    f, g = kernels.cover_tables(adj, 3, pure=True)
+    f, g = kernels.cover_tables(adj, 3)
     assert g[0b111] == 1
-    reach = kernels.reach_table(adj, 3, pure=True)
+    reach = kernels.reach_table(adj, 3)
     assert int(reach[0b111]) == 0b111
-    sizes = kernels.terminal_sizes(g, reach, 3, pure=True)
+    sizes = kernels.terminal_sizes(g, reach, 3)
     assert list(sizes) == [1, 1, 1, 1]
     # independent set: three trivial paths, forcing any endpoint is free
     adj0 = np.zeros(3, dtype=np.int64)
-    f0, g0 = kernels.cover_tables(adj0, 3, pure=True)
+    f0, g0 = kernels.cover_tables(adj0, 3)
     assert g0[0b111] == 3
-    sizes0 = kernels.terminal_sizes(g0, kernels.reach_table(adj0, 3, pure=True),
-                                    3, pure=True)
+    sizes0 = kernels.terminal_sizes(g0, kernels.reach_table(adj0, 3), 3)
     assert list(sizes0) == [3, 3, 3, 3]
 
 
 def test_empty_graph_tables():
-    f, g = kernels.cover_tables(np.zeros(0, dtype=np.int64), 0)
-    assert g[0] == 0
+    empty = np.zeros(0, dtype=np.int64)
+    f, g = kernels.cover_tables(empty, 0)
+    assert same(f, np.zeros((1, 0), dtype=np.int8))
+    assert same(g, np.zeros(1, dtype=np.int8))
+    reach = kernels.reach_table(empty, 0)
+    assert same(reach, np.zeros(1, dtype=np.int64))
+    zero = np.zeros(1, dtype=np.int64)
+    assert same(kernels.terminal_sizes(g, reach, 0), zero)
+    assert same(oracle_sizes_all_terminals(empty, 0), zero)
