@@ -14,6 +14,7 @@ Modules that load numpy are imported only by the subcommands using them.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -29,6 +30,11 @@ EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_ORDERING = 3
 EXIT_TOO_LARGE = 4
+
+
+def _error(message, code):
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def _load_graph(path, fmt):
@@ -56,14 +62,11 @@ def cmd_solve(args):
             return _solve_bipartite(args)
         g = _load_graph(args.input, fmt)
     except OrderingViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ORDERING
+        return _error(exc, EXIT_ORDERING)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _error(exc, EXIT_PARSE)
     if args.terminal is not None and not 1 <= args.terminal <= g.n:
-        print(f"error: terminal {args.terminal} out of range 1..{g.n}", file=sys.stderr)
-        return EXIT_PARSE
+        return _error(f"terminal {args.terminal} out of range 1..{g.n}", EXIT_PARSE)
     trace = [] if args.trace else None
     cover = solve_1pc(g, terminal=args.terminal, trace=trace)
     if trace:
@@ -88,11 +91,9 @@ def _solve_bipartite(args):
     try:
         g = parse_bipartite_file(open(args.input).read())
     except (OSError, ValueError, ConvexityViolation) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _error(exc, EXIT_PARSE)
     if args.terminal is not None and not 1 <= args.terminal <= len(g.Y):
-        print(f"error: terminal {args.terminal} out of range 1..{len(g.Y)}", file=sys.stderr)
-        return EXIT_PARSE
+        return _error(f"terminal {args.terminal} out of range 1..{len(g.Y)}", EXIT_PARSE)
     trace = [] if args.trace else None
     try:
         if args.terminal is not None:
@@ -103,8 +104,7 @@ def _solve_bipartite(args):
             hp = hp_biconvex if g.convexity == "bi" else hp_xconvex
             path = hp(g, trace=trace)
     except (UnsupportedCase, StartNotInY, IndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+        return _error(exc, EXIT_FAIL)
     for reason in trace or ():
         print(f"# {reason}", file=sys.stderr)
     if path is None:
@@ -122,11 +122,9 @@ def cmd_verify(args):
         g = _load_graph(args.graph, fmt)
         cover = parse_cover(open(args.cover).read())
     except OrderingViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ORDERING
+        return _error(exc, EXIT_ORDERING)
     except (OSError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _error(exc, EXIT_PARSE)
     violations = validate_cover(g, cover, cover.terminal)
     violations += check_nesting(g, cover)
     if violations:
@@ -139,9 +137,12 @@ def cmd_verify(args):
 
 def cmd_oracle(args):
     from .generators import GenSpec, exhaustive_interval_models, gen_interval
-    from .oracle import InstanceTooLarge, diff_engine_vs_oracle
+    from .oracle import ORACLE_MAX_N, InstanceTooLarge, diff_engine_vs_oracle
     if args.exhaustive is not None:
         n = args.exhaustive
+        if n > ORACLE_MAX_N:   # before listing all n! models
+            return _error(f"n={n} exceeds oracle bound {ORACLE_MAX_N}",
+                          EXIT_TOO_LARGE)
         models = [(f"exhaustive-n{n}-{idx}", model)
                   for idx, model in enumerate(exhaustive_interval_models(n))]
         repro = f"intervalpc oracle --exhaustive n={n}"
@@ -150,8 +151,7 @@ def cmd_oracle(args):
             spec = GenSpec(kind="interval", n=args.n, density=args.density,
                            seed=args.seed, count=args.random)
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
+            return _error(exc, EXIT_PARSE)
         models = [(f"random-seed{args.seed}-{idx}", model)
                   for idx, model in enumerate(gen_interval(spec))]
         repro = (f"intervalpc oracle --random count={args.random} "
@@ -159,8 +159,7 @@ def cmd_oracle(args):
     try:
         report = diff_engine_vs_oracle(models, prefix_mode=args.prefix)
     except InstanceTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TOO_LARGE
+        return _error(exc, EXIT_TOO_LARGE)
     if args.json:
         print(report.to_json())
     else:
@@ -191,8 +190,7 @@ def cmd_bench(args):
         specs = [GenSpec(kind="interval", n=n, density=args.density,
                          seed=args.seed, count=args.reps) for n in sizes]
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _error(exc, EXIT_PARSE)
     rows = []
     for spec in specs:
         n = spec.n
@@ -245,20 +243,16 @@ def cmd_gen(args):
         spec = GenSpec(kind=args.kind, n=args.n, nx=args.nx, ny=args.ny,
                        density=args.density, seed=args.seed, count=args.count)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _error(exc, EXIT_PARSE)
     if args.kind == "interval":
-        for idx, model in enumerate(gen_interval(spec)):
-            path = f"{args.out}-{idx}.ivl" if spec.count > 1 else f"{args.out}.ivl"
-            with open(path, "w") as fh:
-                fh.write(write_interval_file(model))
-            print(path)
+        ext, items, write = "ivl", gen_interval(spec), write_interval_file
     else:
-        for idx, g in enumerate(gen_biconvex(spec)):
-            path = f"{args.out}-{idx}.bip" if spec.count > 1 else f"{args.out}.bip"
-            with open(path, "w") as fh:
-                fh.write(write_bipartite_file(g))
-            print(path)
+        ext, items, write = "bip", gen_biconvex(spec), write_bipartite_file
+    for idx, item in enumerate(items):
+        path = f"{args.out}-{idx}.{ext}" if spec.count > 1 else f"{args.out}.{ext}"
+        with open(path, "w") as fh:
+            fh.write(write(item))
+        print(path)
     return EXIT_OK
 
 
@@ -269,6 +263,7 @@ def _parse_kv_int(value):
     return int(value)
 
 
+@functools.cache   # filled on the first call, never at import
 def build_parser():
     ap = argparse.ArgumentParser(prog="intervalpc")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -651,8 +651,9 @@ class _Engine:
 
     def _do_bridge_branch(self, i, w, free_exp):
         """Bridge, letting a terminal detach-and-rejoin compete with the
-        plain merge on the surviving endpoint set."""
-        composite = self._restructure_trials(i, w)
+        plain merge on the surviving endpoint set.  The plain merge drops a
+        path, so ``_rank`` would keep it over any tier-2 trial."""
+        composite = self._restructure_trials(i, w, merges_only=True)
         if composite is None:
             self._do_bridge(i, w, free_exp)
             return
@@ -686,13 +687,7 @@ class _Engine:
             snap = self._snapshot
             sh = _Engine(self.n, self.window, terminal=None,
                          excluded=self.terminal)
-            sh.nb1 = list(snap.nb1)
-            sh.nb2 = list(snap.nb2)
-            sh.pid = list(snap.pid)
-            sh.paths = {p: list(r) for p, r in snap.paths.items()}
-            sh.eps = list(snap.eps)
-            sh.lam = snap.lam
-            sh.next_pid = snap.next_pid
+            sh._adopt(snap)   # no terminal_pid yet: the terminal is unplaced
             sh.placed = snap.placed
             sh._shadow_upto = self.terminal
             self._shadow = sh
@@ -821,89 +816,101 @@ class _Engine:
 
     # -- connect / connect_break -----------------------------------------
 
-    def _restructure_trials(self, i, w):
+    def _restructure_trials(self, i, w, merges_only=False):
         """Cut a path edge at a seen internal vertex, optionally rejoin a
         loose end to a free endpoint elsewhere (or to the sibling piece's
-        far end, rotating the path), then bridge with v_i.
+        far end, rotating the path), then bridge with v_i: edits needed
+        only where the fixed terminal wedges the plain ones, and weighed
+        against them by ``_rank``.  Returns the best state by (count,
+        endpoint key, edit key), or None; only the best trial is kept.
 
-        These composite edits exist only because the fixed terminal
-        endpoint can wedge the plain operations; they either drop the path
-        count where nothing else can, or keep it while leaving another
-        endpoint set, which ``_rank`` weighs against the plain edit.
-        Returns the best resulting engine state by (count, endpoint key,
-        edit key), the first of equals winning, or None; only the best
-        trial is kept while scanning."""
+        A cut adds a path, a join and the bridge each remove one, so tier 1
+        of ``_tier_trials`` ends one path below now and tier 2 level with
+        it.  Count ranks first: tier 2 is scanned only when tier 1 yields
+        no trial, and never with ``merges_only`` (for a caller whose plain
+        edit already drops a path)."""
         if not self.terminal_pid:
             return None
         # a restructure only pays when the terminal path holds one of the
         # two lowest endpoint ceilings
-        tp_rec = self.paths[self.terminal_pid]
-        tp_max = max(tp_rec[0], tp_rec[1])
+        tp_max = max(self.paths[self.terminal_pid][:2])
         below = 0
         for rec in self.paths.values():
-            if max(rec[0], rec[1]) < tp_max:
-                below += 1
-                if below > 1:
-                    return None
+            below += max(rec[0], rec[1]) < tp_max
+            if below > 1:
+                return None
         best = None
+        for tier in ((1,) if merges_only else (1, 2)):
+            for key, var in self._tier_trials(i, w, tier):
+                rank = (var.lam,
+                        tuple(-x for x in var._endpoint_multiset()), key)
+                if best is None or rank < best[0]:
+                    best = (rank, var)
+            if best is not None:
+                break
+        return None if best is None else best[1]
+
+    def _tier_trials(self, i, w, tier):
+        """Yield (edit key, state) for each restructure trial of one tier,
+        bridged with v_i: tier 1 cuts and joins, tier 2 only cuts or moves a
+        second piece (cut, cut, join).  One base clone is alive at a time."""
         # candidate cut edges sit at seen internal vertices; scan from the
         # window's right edge and cap the scan on large instances
         cands = [u for u in range(i - 1, w - 1, -1)
                  if self.pid[u] != 0 and self._nb_count(u) == 2]
-        cands = cands[:16]
-        seen_edges = set()
-        for u in cands:
+        seen_edges = {}   # insertion-ordered set
+        for u in cands[:16]:
             for v in self._nbrs(u):
-                if (v, u) in seen_edges:
-                    continue
-                seen_edges.add((u, v))
-                base = self.clone()
-                base._cut(u, v)
-                variants = [((u, v, 0, 0), base)]
-                for l_end in (u, v):
-                    other = v if l_end == u else u
-                    for b in list(base.eps):
-                        if base.pid[b] == base.pid[l_end] or b == other:
-                            continue
-                        if not base.sees(l_end, b) or not base.is_free_ep(b):
-                            continue
-                        joined = base.clone()
-                        joined._join(l_end, b)
-                        variants.append(((u, v, l_end, b), joined))
-                if self.n <= 64:
-                    # second-level transfer feeding a loose end of the
-                    # first cut; exact search at oracle scales
-                    for u2 in range(w, i):
-                        if base.pid[u2] == 0 or base._nb_count(u2) != 2:
-                            continue
-                        for v2 in base._nbrs(u2):
-                            for l2 in (u2, v2):
-                                o2 = v2 if l2 == u2 else u2
-                                for b2 in (u, v):
-                                    if b2 == o2 or base.pid[b2] == base.pid[l2]:
-                                        continue
-                                    if b2 not in (base.paths[base.pid[b2]][0],
-                                                  base.paths[base.pid[b2]][1]):
-                                        continue
-                                    if not base.sees(l2, b2) \
-                                            or not base.is_free_ep(b2):
-                                        continue
-                                    deep = base.clone()
-                                    deep._cut(u2, v2)
-                                    if deep.pid[b2] == deep.pid[l2]:
-                                        continue
-                                    deep._join(l2, b2)
-                                    variants.append(((u, v, u2, v2, l2, b2),
-                                                     deep))
-                for key, var in variants:
-                    _, fexp = var._classify(w)
-                    if len(fexp) >= 2:
-                        var._do_bridge(i, w, fexp)
-                        rank = (var.lam,
-                                tuple(-x for x in var._endpoint_multiset()), key)
-                        if best is None or rank < best[0]:
-                            best = (rank, var)
-        return None if best is None else best[1]
+                if (v, u) not in seen_edges:
+                    seen_edges[(u, v)] = None
+
+        def merges(u, v, base):
+            for l_end in (u, v):
+                other = v if l_end == u else u
+                for b in list(base.eps):
+                    if base.pid[b] == base.pid[l_end] or b == other:
+                        continue
+                    if not base.sees(l_end, b) or not base.is_free_ep(b):
+                        continue
+                    joined = base.clone()
+                    joined._join(l_end, b)
+                    yield (u, v, l_end, b), joined
+
+        def transfers(u, v, base):
+            if self.n <= 64:
+                # second-level transfer feeding a loose end of the
+                # first cut; exact search at oracle scales
+                for u2 in range(w, i):
+                    if base.pid[u2] == 0 or base._nb_count(u2) != 2:
+                        continue
+                    for v2 in base._nbrs(u2):
+                        for l2 in (u2, v2):
+                            o2 = v2 if l2 == u2 else u2
+                            for b2 in (u, v):
+                                if b2 == o2 or base.pid[b2] == base.pid[l2]:
+                                    continue
+                                if b2 not in (base.paths[base.pid[b2]][0],
+                                              base.paths[base.pid[b2]][1]):
+                                    continue
+                                if not base.sees(l2, b2) \
+                                        or not base.is_free_ep(b2):
+                                    continue
+                                deep = base.clone()
+                                deep._cut(u2, v2)
+                                if deep.pid[b2] == deep.pid[l2]:
+                                    continue
+                                deep._join(l2, b2)
+                                yield (u, v, u2, v2, l2, b2), deep
+            yield (u, v, 0, 0), base   # last: the bridge mutates it
+
+        for u, v in seen_edges:
+            base = self.clone()
+            base._cut(u, v)
+            for key, var in (merges if tier == 1 else transfers)(u, v, base):
+                _, fexp = var._classify(w)
+                if len(fexp) >= 2:
+                    var._do_bridge(i, w, fexp)
+                    yield key, var
 
     def _do_connect_or_break(self, i, w, free_exp):
         (p_e, seen), = free_exp.items()
@@ -1078,14 +1085,7 @@ class _Engine:
     def clone(self):
         e = _Engine(self.n, self.window, terminal=self.terminal,
                     excluded=self.excluded)
-        e.nb1 = list(self.nb1)
-        e.nb2 = list(self.nb2)
-        e.pid = list(self.pid)
-        e.paths = {p: list(r) for p, r in self.paths.items()}
-        e.eps = list(self.eps)
-        e.lam = self.lam
-        e.terminal_pid = self.terminal_pid
-        e.next_pid = self.next_pid
+        e._adopt(self)
         e.placed = self.placed
         return e
 

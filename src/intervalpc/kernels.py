@@ -26,15 +26,18 @@ rows below ``1 << i`` are the tables of the subgraph induced by vertices
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 _INF = 127  # int8 sentinel; path counts never exceed the vertex bound
 
 
+@functools.cache
 def _layers(n: int):
-    """Yield, for k = 2..n, the masks with k bits set (ascending) and, per
-    vertex v, those of them containing v paired with the same masks
-    without v."""
+    """For k = 2..n, the masks with k bits set (ascending) and, per vertex
+    v, those of them containing v paired with the same masks without v.
+    Built once per n and shared, so every array is read-only."""
     masks = np.arange(1 << n, dtype=np.int64)
     has = np.empty((n, 1 << n), dtype=bool)
     for v in range(n):
@@ -43,6 +46,7 @@ def _layers(n: int):
     order = np.argsort(count, kind="stable")
     masks, has = masks[order], has[:, order]
     ends = np.cumsum(np.bincount(count, minlength=n + 1))
+    out = []
     for k in range(2, n + 1):
         lo, hi = ends[k - 1], ends[k]
         layer = masks[lo:hi]
@@ -50,7 +54,10 @@ def _layers(n: int):
         for v in range(n):
             with_v = layer[has[v, lo:hi]]
             splits.append((with_v, with_v ^ (1 << v)))
-        yield layer, splits
+        for arr in (layer, *(a for pair in splits for a in pair)):
+            arr.flags.writeable = False
+        out.append((layer, tuple(splits)))
+    return tuple(out)
 
 
 def cover_tables(adj: np.ndarray, n: int):

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 import intervalpc
-from intervalpc.cli import main
+from intervalpc.cli import build_parser, main
 
 
 def write(path, text):
@@ -62,14 +62,16 @@ def test_solve_terminal_out_of_range(tmp_path, capsys, terminal):
     assert "Traceback" not in captured.err and captured.out == ""
 
 
-def run_fresh(argv):
+def run_fresh(argv, at_import=None):
     """Exit code of cli.main(argv) in a fresh interpreter, on the same
-    intervalpc as this one, and whether numpy was loaded by then."""
+    intervalpc as this one, and whether numpy was loaded by then; with
+    ``at_import``, also that expression's value just after the import."""
     src = os.path.dirname(os.path.dirname(intervalpc.__file__))
     code = (f"import sys; sys.path.insert(0, {src!r}); "
-            "from intervalpc.cli import main; "
+            "from intervalpc.cli import build_parser, main; "
+            f"seen = [{at_import or ''}]; "
             f"rc = main({argv!r}); "
-            "print(rc, 'numpy' in sys.modules)")
+            "print(rc, 'numpy' in sys.modules, *seen)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, timeout=120)
     return proc.stdout.splitlines()[-1]
@@ -144,6 +146,12 @@ def test_oracle_random(capsys):
 
 def test_oracle_too_large(capsys):
     assert main(["oracle", "--random", "count=1", "--n", "14"]) == 4
+
+
+def test_oracle_exhaustive_too_large_exits_before_listing_models(capsys):
+    # 13! models would not fit in memory: the bound is checked first
+    assert main(["oracle", "--exhaustive", "n=13"]) == 4
+    assert capsys.readouterr().err == "error: n=13 exceeds oracle bound 12\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -291,3 +299,22 @@ def test_solve_cover_roundtrips_for_random_instances(tmp_path):
         out = str(tmp_path / f"c{seed}.txt")
         assert main(["solve", f, "--terminal", "7", "--out", out]) == 0
         assert main(["verify", f, out]) == 0
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_cached_parser_keeps_no_option_between_calls(tmp_path, capsys):
+    f = write(tmp_path / "p4.ivl", P4)
+    assert main(["solve", f, "--terminal", "2"]) == 0
+    assert "lambda=2" in capsys.readouterr().out
+    assert main(["solve", f]) == 0
+    out = capsys.readouterr().out
+    assert "terminal=none" in out and "lambda=1" in out
+
+
+def test_parser_is_not_built_at_import(tmp_path):
+    f = write(tmp_path / "k4.ivl", K4)
+    assert run_fresh(["solve", f, "--terminal", "2"],
+                     at_import="build_parser.cache_info().currsize") == "0 False 0"

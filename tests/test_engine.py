@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 import random
@@ -6,9 +7,11 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from intervalpc.bipartite import convexify
 from intervalpc.graphcore import IntervalModel, build_ordering
-from intervalpc.engine import (PathCover, epsilon_vector, parse_cover,
+from intervalpc.engine import (PathCover, _Engine, epsilon_vector, parse_cover,
                                run_engine, serialize_cover, solve_1pc)
+from intervalpc.generators import GenSpec, exhaustive_interval_models, gen_biconvex
 from intervalpc.oracle import check_nesting, oracle_min_cover, validate_cover
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -280,3 +283,65 @@ def test_shadow_rescue_keeps_only_the_best_trial():
         tracemalloc.stop()
     assert not validate_cover(g, cover, 654)
     assert peak < 8 * 2 ** 20
+
+
+# convexified balanced biconvex graphs (|X| = |Y| = k, so n = 2k) and the
+# terminals asked of them: the restructure search reaches its second-level
+# transfers (n <= 64) on these, and bridge steps with no tier-1 trial
+GOLDEN_BICONVEX = [(16, 0.6, 1, range(1, 33, 7)), (24, 0.3, 1, range(1, 49, 7)),
+                   (32, 0.3, 0, [1])]
+# sha256 of every cover and lam_history of _golden_stream(), computed with
+# the one-tier restructure search, whose answers the two tiers must keep
+GOLDEN_DIGEST = "186d0a33a9d04dd33e13ffa67cbf79cac890a34dcd7f63aa96ff501cadbc9daf"
+
+
+def _biconvex_graph(k, density, seed):
+    bg, = gen_biconvex(GenSpec(kind="biconvex", nx=k, ny=k, density=density,
+                               seed=seed))
+    return convexify(bg, "add-Y-edges")[0]
+
+
+def _golden_stream():
+    for n in range(1, 7):
+        for model in exhaustive_interval_models(n):
+            g = build_ordering(model)
+            for t in (None, *range(1, n + 1)):
+                yield g, t
+    for k, density, seed, terminals in GOLDEN_BICONVEX:
+        g = _biconvex_graph(k, density, seed)
+        for t in (None, *terminals):
+            yield g, t
+
+
+def test_engine_answers_match_golden_digest():
+    h = hashlib.sha256()
+    for g, t in _golden_stream():
+        eng = run_engine(g, t)
+        h.update(serialize_cover(eng.result(g.n)).encode())
+        h.update(repr(eng.lam_history).encode())
+    assert h.hexdigest() == GOLDEN_DIGEST
+
+
+def test_restructure_tiers_differ_by_one_path(monkeypatch):
+    # every state the engine asks for restructure trials: each tier-1
+    # trial ends one path below it, each tier-2 trial level with it, so
+    # a tier-1 trial always outranks a tier-2 one
+    calls = []
+    original = _Engine._restructure_trials
+
+    def record(self, i, w, merges_only=False):
+        calls.append((self.clone(), i, w))
+        return original(self, i, w, merges_only)
+
+    monkeypatch.setattr(_Engine, "_restructure_trials", record)
+    k, density, seed, terminals = GOLDEN_BICONVEX[0]
+    g = _biconvex_graph(k, density, seed)
+    for t in terminals:
+        run_engine(g, t)
+    seen = {1: 0, 2: 0}
+    for state, i, w in calls:
+        for tier in (1, 2):
+            for _, trial in state._tier_trials(i, w, tier):
+                assert trial.lam == state.lam - (tier == 1)
+                seen[tier] += 1
+    assert seen[1] and seen[2]

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from intervalpc import kernels
@@ -134,3 +135,13 @@ def test_empty_graph_tables():
     zero = np.zeros(1, dtype=np.int64)
     assert same(kernels.terminal_sizes(g, reach, 0), zero)
     assert same(oracle_sizes_all_terminals(empty, 0), zero)
+
+
+def test_layers_are_built_once_and_read_only():
+    # the index arrays are shared by every call at one n, so no caller
+    # may write into them
+    assert kernels._layers(6) is kernels._layers(6)
+    layer, splits = kernels._layers(6)[0]
+    for arr in (layer, *splits[0]):
+        with pytest.raises(ValueError):
+            arr[0] = 0
