@@ -5,7 +5,7 @@ The oracle, bipartite and generator APIs live in their submodules
 """
 
 from .graphcore import (IntervalModel, OrderedGraph, OrderingViolation,
-                        build_ordering, validate_ordering, leftmost_neighbor)
+                        build_ordering, validate_ordering)
 from .engine import (InternalInvariantViolation, Path, PathCover, solve_1pc,
                      epsilon_vector, serialize_cover, parse_cover)
 

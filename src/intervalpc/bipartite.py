@@ -163,11 +163,6 @@ def convexify(g: BipartiteConvexGraph, side: str):
     return build_ordering(model), model
 
 
-def _path_labels(graph: OrderedGraph, cover):
-    verts = cover.paths[0].vertices
-    return [graph.label_of(v) for v in verts]
-
-
 def _validate_in_g(g: BipartiteConvexGraph, labels):
     if len(labels) != len(g.X) + len(g.Y):
         raise InternalInvariantViolation("returned path does not cover X u Y")
@@ -179,21 +174,18 @@ def _validate_in_g(g: BipartiteConvexGraph, labels):
         if edge not in g.edges:
             raise InternalInvariantViolation(
                 f"returned path uses non-edge {edge}")
-    return [lab for lab in labels]
+    return labels
 
 
-def _solve_terminal_hp(g, graph, terminal_vertex):
-    cover = solve_1pc(graph, terminal=terminal_vertex)
+def _solve_hp(g, graph, terminal=None):
+    """The labels of a one-path cover of ``graph`` (ending at
+    ``terminal`` when one is given), checked against g's edges; None
+    when the minimum cover needs more paths."""
+    cover = solve_1pc(graph, terminal=terminal)
     if cover.lam != 1:
         return None
-    return _validate_in_g(g, _path_labels(graph, cover))
-
-
-def _solve_free_hp(g, graph):
-    cover = solve_1pc(graph, terminal=None)
-    if cover.lam != 1:
-        return None
-    return _validate_in_g(g, _path_labels(graph, cover))
+    return _validate_in_g(
+        g, [graph.label_of(v) for v in cover.paths[0].vertices])
 
 
 def _vertex_of_label(graph: OrderedGraph):
@@ -219,14 +211,14 @@ def _hp_balanced(g: BipartiteConvexGraph, trace):
     if deg1:
         if trace is not None:
             trace.append(f"degree-1 shortcut through {deg1[0]!r}")
-        return _solve_terminal_hp(g, graph, vertex[("y", deg1[0])])
+        return _solve_hp(g, graph, vertex[("y", deg1[0])])
     lam = solve_1pc(graph, terminal=None).lam
     if lam != 1:
         if trace is not None:
             trace.append(f"augmented graph needs {lam} paths: no HP")
         return None
     for y in g.Y:
-        res = _solve_terminal_hp(g, graph, vertex[("y", y)])
+        res = _solve_hp(g, graph, vertex[("y", y)])
         if res is not None:
             return res
     return None
@@ -252,9 +244,9 @@ def hp_biconvex(g: BipartiteConvexGraph, trace=None):
         return _hp_balanced(g, trace)
     if k - m == 1:
         graph, _ = convexify(g, "add-Y-edges")
-        return _solve_free_hp(g, graph)
+        return _solve_hp(g, graph)
     graph, _ = convexify(g, "add-X-edges")
-    return _solve_free_hp(g, graph)
+    return _solve_hp(g, graph)
 
 
 def onehp_biconvex(g: BipartiteConvexGraph, start):
@@ -270,7 +262,7 @@ def onehp_biconvex(g: BipartiteConvexGraph, start):
         return None  # endpoints of any HP both lie in X
     side = "add-Y-edges" if k == m else "add-X-edges"
     graph, _ = convexify(g, side)
-    res = _solve_terminal_hp(g, graph, _vertex_of_label(graph)[("y", start)])
+    res = _solve_hp(g, graph, _vertex_of_label(graph)[("y", start)])
     if res is not None and res[0] != ("y", start):
         res.reverse()
     return res
@@ -289,7 +281,7 @@ def hp_xconvex(g: BipartiteConvexGraph, trace=None):
     if k == m:
         return _hp_balanced(g, trace)
     graph, _ = convexify(g, "add-Y-edges")
-    return _solve_free_hp(g, graph)
+    return _solve_hp(g, graph)
 
 
 def onehp_xconvex(g: BipartiteConvexGraph, start):
@@ -306,11 +298,11 @@ def onehp_xconvex(g: BipartiteConvexGraph, start):
             raise UnsupportedCase(
                 "|X|=|Y| with a start in X needs the two-fixed-endpoint problem")
         graph, _ = convexify(g, "add-Y-edges")
-        res = _solve_terminal_hp(g, graph, _vertex_of_label(graph)[("y", start)])
+        res = _solve_hp(g, graph, _vertex_of_label(graph)[("y", start)])
     elif k - m == 1:
         graph, _ = convexify(g, "add-Y-edges")
         tag = "x" if in_x else "y"
-        res = _solve_terminal_hp(g, graph, _vertex_of_label(graph)[(tag, start)])
+        res = _solve_hp(g, graph, _vertex_of_label(graph)[(tag, start)])
     else:  # m - k == 1
         if in_x:
             return None  # endpoints of any HP both lie in Y
@@ -343,22 +335,23 @@ def hp_oracle_from(labels, adjacency) -> bool:
     return int(reach[(1 << n) - 1]) != 0
 
 
-def hp_oracle(g: BipartiteConvexGraph) -> bool:
-    labels = [("x", x) for x in g.X] + [("y", y) for y in g.Y]
-    adjacency = {lab: [] for lab in labels}
-    for x, y in g.edges:
-        adjacency[("x", x)].append(("y", y))
-        adjacency[("y", y)].append(("x", x))
-    return hp_oracle_from(labels, adjacency)
-
-
-def _augmented_hp(g: BipartiteConvexGraph) -> bool:
-    """HP existence in G' = (X u Y, E u E_Y), by brute force."""
+def _adjacency(g: BipartiteConvexGraph):
+    """(labels, adjacency) of g for ``hp_oracle_from``."""
     labels = [("x", x) for x in g.X] + [("y", y) for y in g.Y]
     adjacency = {lab: set() for lab in labels}
     for x, y in g.edges:
         adjacency[("x", x)].add(("y", y))
         adjacency[("y", y)].add(("x", x))
+    return labels, adjacency
+
+
+def hp_oracle(g: BipartiteConvexGraph) -> bool:
+    return hp_oracle_from(*_adjacency(g))
+
+
+def _augmented_hp(g: BipartiteConvexGraph) -> bool:
+    """HP existence in G' = (X u Y, E u E_Y), by brute force."""
+    labels, adjacency = _adjacency(g)
     runs = {y: g.y_run(y) for y in g.Y}
     ys = list(g.Y)
     for i, y1 in enumerate(ys):

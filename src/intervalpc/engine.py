@@ -19,12 +19,13 @@ then the surviving endpoint set with the most distinct paths ending above
 each index, compared from the low indices upward.
 
 A designated terminal vertex must stay an endpoint.  When the terminal
-endpoint blocks a merge, the engine consults a shadow instance that solves
-the same prefix without the terminal (forked lazily when the terminal is
-processed, advanced in lock step) and, when the shadow is one path ahead,
-adopts its cover and re-threads the terminal.  The terminal branches also
-weigh a composite edit (cut a path near v_i, possibly rejoin a loose end,
-then bridge) against the plain one.
+endpoint blocks a merge, the engine consults a shadow instance: a plain
+terminal-free engine, forked lazily from the state just before the
+terminal and stepped from the terminal's successor on, so it never steps
+the terminal and solves the prefix without it.  When the shadow is one
+path ahead, the engine adopts its cover and re-threads the terminal.
+The terminal branches also weigh a composite edit (cut a path near v_i,
+possibly rejoin a loose end, then bridge) against the plain one.
 
 Once a terminal is set, endpoint dominance no longer settles every tie.
 Two covers of equal count can have incomparable profiles of usable
@@ -148,15 +149,15 @@ def parse_cover(text: str) -> PathCover:
 class _Engine:
     """Mutable engine state over a fixed ordering.
 
-    ``excluded`` marks a vertex the instance must skip (the shadow solves
-    the prefix without the terminal); the main instance leaves it None.
+    The shadow is an instance with no terminal that is never stepped at
+    the main instance's terminal: the terminal stays unplaced there (pid
+    0, no path neighbours, not in ``eps``), which every scan skips.
     """
 
-    def __init__(self, n, window, terminal=None, excluded=None, trace=None):
+    def __init__(self, n, window, terminal=None, trace=None):
         self.n = n
         self.window = window
         self.terminal = terminal
-        self.excluded = excluded
         self.trace = trace
         self.nb1 = [0] * (n + 1)   # up to two path neighbours per vertex
         self.nb2 = [0] * (n + 1)
@@ -176,20 +177,8 @@ class _Engine:
     # ------------------------------------------------------------------
     # adjacency through the ordering window
 
-    def win_start(self, i):
-        w = self.window[i]
-        if w >= i:
-            return None
-        if self.excluded is not None and w == self.excluded:
-            w += 1
-            if w >= i:
-                return None
-        return w
-
     def sees(self, a, b):
         if a == b:
-            return False
-        if self.excluded is not None and (a == self.excluded or b == self.excluded):
             return False
         if a > b:
             a, b = b, a
@@ -398,8 +387,6 @@ class _Engine:
         for e in {seq[0], seq[-1]}:
             self._add_ep(e)
         self.lam -= 1
-        if self.terminal_pid == p2:
-            self.terminal_pid = p1
 
     # ------------------------------------------------------------------
     # endpoint-set scoring
@@ -407,8 +394,10 @@ class _Engine:
     def _base_maxes(self):
         return [max(rec[0], rec[1]) for rec in self.paths.values()]
 
-    def _endpoint_multiset(self):
-        return tuple(sorted(self._base_maxes()))
+    def _key(self):
+        """Rank of a whole cover, lower first: fewer paths, then the
+        endpoint maxima compared from the highest down."""
+        return (self.lam, tuple(-x for x in sorted(self._base_maxes())))
 
     def _usable_profile(self):
         """Highest endpoint that can still be extended, per path, sorted
@@ -455,18 +444,15 @@ class _Engine:
     def step(self, i):
         """Place vertex i; returns the equal-count alternatives this step
         kept beside the adopted cover, as independent engine states."""
-        if i == self.excluded:
-            return []
-        if self.terminal is not None and i == self.terminal \
-                and self.excluded is None:
+        if self.terminal is not None and i == self.terminal:
             self._snapshot = self.clone()
         mark = len(self.trace) if self.trace is not None else 0
         if self.placed == 0:
             self._new_path(i, terminal=(i == self.terminal))
             self._log(i, "new_path", "first vertex")
         else:
-            w = self.win_start(i)
-            if w is None:
+            w = self.window[i]
+            if w >= i:
                 self._new_path(i, terminal=(i == self.terminal))
                 self._log(i, "new_path", "isolated in prefix")
             elif i == self.terminal:
@@ -518,9 +504,7 @@ class _Engine:
         neither profile dominates, no rule can tell which cover a later
         vertex needs: the key's pick wins and the other is carried."""
         a, b = first, second
-        ka = (a[0].lam, tuple(-x for x in a[0]._endpoint_multiset()))
-        kb = (b[0].lam, tuple(-x for x in b[0]._endpoint_multiset()))
-        if ka > kb:
+        if a[0]._key() > b[0]._key():
             a, b = b, a
         if a[0].lam == b[0].lam:
             pa, pb = a[0]._usable_profile(), b[0]._usable_profile()
@@ -668,8 +652,7 @@ class _Engine:
         base = self._base_maxes()
         plans = [(self._score(base, removed, added), 0, 0, ("pair",) + pair)]
         plans.extend(self._threading_plans(i, w, free_exp))
-        plans.sort(key=lambda t: (t[0], -t[1], -t[2]), reverse=True)
-        score, _, _, action = plans[0]
+        action = max(plans, key=lambda t: (t[0], -t[1], -t[2]))[3]
         if action[0] == "pair":
             _, e1, e2 = action
             self._bridge_pair(e1, e2, i)
@@ -685,8 +668,7 @@ class _Engine:
     def _ensure_shadow(self, upto):
         if self._shadow is None:
             snap = self._snapshot
-            sh = _Engine(self.n, self.window, terminal=None,
-                         excluded=self.terminal)
+            sh = _Engine(self.n, self.window)
             sh._adopt(snap)   # no terminal_pid yet: the terminal is unplaced
             sh.placed = snap.placed
             sh._shadow_upto = self.terminal
@@ -708,9 +690,10 @@ class _Engine:
         self.next_pid = src.next_pid
         self.terminal_pid = src.terminal_pid
 
-    def _trial_from(self, shadow):
-        trial = shadow.clone()
-        trial.excluded = None
+    def _trial_from(self, src):
+        """A copy of src (the shadow or a state derived from it) that
+        carries this instance's terminal, still unplaced."""
+        trial = src.clone()
         trial.terminal = self.terminal
         return trial
 
@@ -718,17 +701,30 @@ class _Engine:
         """The best cover re-derived from the terminal-free shadow run:
         adopt its paths, re-place the terminal, place v_i.  Used when the
         terminal wedges the plain operations.  Trials are ranked by
-        (count, endpoint key, edit key), the first of equals winning;
-        only the best is kept.  Returns that trial, or None."""
+        (``_key``, edit key), the first of equals winning; only the best
+        is kept.  Returns that trial, or None."""
         t = self.terminal
         shadow = self._ensure_shadow(i - 1)
         best = None
 
         def offer(trial, key):
             nonlocal best
-            rank = (trial.lam, tuple(-x for x in trial._endpoint_multiset()), key)
+            rank = (trial._key(), key)
             if best is None or rank < best[0]:
                 best = (rank, trial)
+
+        def hang(var, key):
+            # hang the terminal on an endpoint of var it sees, then bridge
+            for e in var.eps:
+                if not self.sees(t, e):
+                    continue
+                trial = self._trial_from(var)
+                trial._connect(e, t)
+                trial.terminal_pid = trial.pid[t]
+                _, fexp = trial._classify(w)
+                if len(fexp) >= 2:
+                    trial._do_bridge(i, w, fexp)
+                    offer(trial, key + (e,))
 
         # extend a shadow path with v_i, then cap it with the terminal
         if shadow.lam == self.lam - 1 and self.sees(i, t):
@@ -739,52 +735,23 @@ class _Engine:
                 trial._connect(e, i)
                 trial._connect(i, t)
                 trial.terminal_pid = trial.pid[t]
-                offer(trial, (0, e, 0, 0, 0))
-        # re-attach the terminal at a shadow endpoint it sees, then bridge
-        for e in shadow.eps:
-            if not self.sees(t, e):
-                continue
-            trial = self._trial_from(shadow)
-            trial._connect(e, t)
-            trial.terminal_pid = trial.pid[t]
-            _, fexp = trial._classify(w)
-            if len(fexp) >= 2:
-                trial._do_bridge(i, w, fexp)
-                offer(trial, (1, e, 0, 0, 0))
+                offer(trial, (0, e))
+        hang(shadow, (1,))
         if best is not None:
             return best[1]
         # restructure the shadow cover first: cut an edge at a seen
         # internal vertex (v_i sees nothing below w), optionally rejoin
         # one loose piece elsewhere (or rotate via the sibling's far end),
-        # hang the terminal on an endpoint it sees, then bridge
+        # then hang the terminal and bridge
         for u in range(w, i):
             if shadow.pid[u] == 0 or shadow._nb_count(u) != 2:
                 continue
             for v in shadow._nbrs(u):
                 base = self._trial_from(shadow)
                 base._cut(u, v)
-                variants = [((2, u, v, 0, 0), base)]
-                for l_end in (u, v):
-                    other = v if l_end == u else u
-                    for b in base.eps:
-                        if base.pid[b] == base.pid[l_end] or b == other:
-                            continue
-                        if not self.sees(l_end, b):
-                            continue
-                        joined = base.clone()
-                        joined._join(l_end, b)
-                        variants.append(((2, u, v, l_end, b), joined))
-                for key, var in variants:
-                    for e in var.eps:
-                        if not self.sees(t, e):
-                            continue
-                        trial = var.clone()
-                        trial._connect(e, t)
-                        trial.terminal_pid = trial.pid[t]
-                        _, fexp = trial._classify(w)
-                        if len(fexp) >= 2:
-                            trial._do_bridge(i, w, fexp)
-                            offer(trial, key + (e,))
+                hang(base, (u, v, 0, 0))
+                for key, joined in base._joins(u, v):
+                    hang(joined, key)
         return None if best is None else best[1]
 
     def _do_terminal_detour(self, i, w, free_exp):
@@ -821,8 +788,8 @@ class _Engine:
         loose end to a free endpoint elsewhere (or to the sibling piece's
         far end, rotating the path), then bridge with v_i: edits needed
         only where the fixed terminal wedges the plain ones, and weighed
-        against them by ``_rank``.  Returns the best state by (count,
-        endpoint key, edit key), or None; only the best trial is kept.
+        against them by ``_rank``.  Returns the best state by (``_key``,
+        edit key), the first of equals, or None; only the best is kept.
 
         A cut adds a path, a join and the bridge each remove one, so tier 1
         of ``_tier_trials`` ends one path below now and tier 2 level with
@@ -839,16 +806,12 @@ class _Engine:
             below += max(rec[0], rec[1]) < tp_max
             if below > 1:
                 return None
-        best = None
         for tier in ((1,) if merges_only else (1, 2)):
-            for key, var in self._tier_trials(i, w, tier):
-                rank = (var.lam,
-                        tuple(-x for x in var._endpoint_multiset()), key)
-                if best is None or rank < best[0]:
-                    best = (rank, var)
+            best = min(self._tier_trials(i, w, tier), default=None,
+                       key=lambda kv: (kv[1]._key(), kv[0]))
             if best is not None:
-                break
-        return None if best is None else best[1]
+                return best[1]
+        return None
 
     def _tier_trials(self, i, w, tier):
         """Yield (edit key, state) for each restructure trial of one tier,
@@ -864,18 +827,6 @@ class _Engine:
                 if (v, u) not in seen_edges:
                     seen_edges[(u, v)] = None
 
-        def merges(u, v, base):
-            for l_end in (u, v):
-                other = v if l_end == u else u
-                for b in list(base.eps):
-                    if base.pid[b] == base.pid[l_end] or b == other:
-                        continue
-                    if not base.sees(l_end, b) or not base.is_free_ep(b):
-                        continue
-                    joined = base.clone()
-                    joined._join(l_end, b)
-                    yield (u, v, l_end, b), joined
-
         def transfers(u, v, base):
             if self.n <= 64:
                 # second-level transfer feeding a loose end of the
@@ -889,16 +840,11 @@ class _Engine:
                             for b2 in (u, v):
                                 if b2 == o2 or base.pid[b2] == base.pid[l2]:
                                     continue
-                                if b2 not in (base.paths[base.pid[b2]][0],
-                                              base.paths[base.pid[b2]][1]):
-                                    continue
                                 if not base.sees(l2, b2) \
                                         or not base.is_free_ep(b2):
                                     continue
                                 deep = base.clone()
                                 deep._cut(u2, v2)
-                                if deep.pid[b2] == deep.pid[l2]:
-                                    continue
                                 deep._join(l2, b2)
                                 yield (u, v, u2, v2, l2, b2), deep
             yield (u, v, 0, 0), base   # last: the bridge mutates it
@@ -906,11 +852,28 @@ class _Engine:
         for u, v in seen_edges:
             base = self.clone()
             base._cut(u, v)
-            for key, var in (merges if tier == 1 else transfers)(u, v, base):
+            trials = (base._joins(u, v) if tier == 1
+                      else transfers(u, v, base))
+            for key, var in trials:
                 _, fexp = var._classify(w)
                 if len(fexp) >= 2:
                     var._do_bridge(i, w, fexp)
                     yield key, var
+
+    def _joins(self, u, v):
+        """Yield (edit key, state) for each rejoin after the cut of u-v:
+        a loose end joined to a free endpoint it sees on another path,
+        the far end of its sibling piece included (a rotation)."""
+        for l_end in (u, v):
+            other = v if l_end == u else u
+            for b in self.eps:
+                if self.pid[b] == self.pid[l_end] or b == other:
+                    continue
+                if not self.sees(l_end, b) or not self.is_free_ep(b):
+                    continue
+                joined = self.clone()
+                joined._join(l_end, b)
+                yield (u, v, l_end, b), joined
 
     def _do_connect_or_break(self, i, w, free_exp):
         (p_e, seen), = free_exp.items()
@@ -930,22 +893,12 @@ class _Engine:
             for q, qrec in self.paths.items():
                 if q != p_e:
                     cap = max(cap, qrec[0], qrec[1])
-            for u in range(w, i):
-                if self.pid[u] == 0 or self._nb_count(u) != 2 \
-                        or self.pid[u] == p_e or u >= a_end:
-                    continue
-                pu = self.pid[u]
-                pu_max = max(self.paths[pu][0], self.paths[pu][1])
-                for x in self._nbrs(u):
-                    if x < u and x > cap:
-                        far_u = self._far_side(u, x)
-                        far_x = self.paths[pu][0] + self.paths[pu][1] - far_u
-                        rem = (pu_max, b_end)
-                        add = (max(far_u, b_end), max(x, far_x))
-                        plans.append((self._score(base, rem, add), 0,
-                                      (-u, x), ("break", u, x)))
-        plans.sort(key=lambda t: (t[0], t[1], t[2]), reverse=True)
-        action = plans[0][3]
+            for u, x, far_u, far_x in self._splits(w, a_end, cap, p_e):
+                rem = (max(far_u, far_x), b_end)
+                add = (max(far_u, b_end), max(x, far_x))
+                plans.append((self._score(base, rem, add), 0,
+                              (-u, x), ("break", u, x)))
+        action = max(plans, key=lambda t: t[:3])[3]
         carried = None
         if composite is not None:
             planned = self.clone()
@@ -957,7 +910,7 @@ class _Engine:
             if best[0] is composite:
                 self._take(i, best, carried)
                 return
-        if self.terminal_pid and self.excluded is None:
+        if self.terminal_pid:
             # the shadow run may be a whole path ahead even though the
             # terminal is out of sight; rebuild from it when that strictly
             # shrinks the cover
@@ -988,6 +941,21 @@ class _Engine:
             return "connect", f"onto {action[1]}"
         _, u, x = action
         return "connect_break", f"split at ({u},{x}), joined {u}-{i}-{a_end}"
+
+    def _splits(self, w, hi, cap, skip=0):
+        """Yield (u, x, far_u, far_x) for each path edge a split can cut:
+        u internal in [w, hi) and not on path ``skip``, x its
+        path-neighbour with cap < x < u, and far_u, far_x the path's
+        endpoints on u's and on x's side."""
+        nb1, nb2, pid = self.nb1, self.nb2, self.pid
+        for u in range(w, hi):
+            if not (nb1[u] and nb2[u]) or pid[u] == skip:
+                continue
+            for x in (nb1[u], nb2[u]):
+                if cap < x < u:
+                    far_u = self._far_side(u, x)
+                    rec = self.paths[pid[u]]
+                    yield u, x, far_u, rec[0] + rec[1] - far_u
 
     def _far_side(self, u, x):
         """Endpoint reached from u walking away from its path-neighbour x."""
@@ -1046,9 +1014,7 @@ class _Engine:
                         plans.append((self._score(base, rem, add),
                                       (-u, -a, -b), ("splitmerge", u, a, b)))
         if plans:
-            plans.sort(key=lambda t: (t[0], t[1]), reverse=True)
-            _, _, action = plans[0]
-            _, u, a, b = action
+            _, u, a, b = max(plans, key=lambda t: t[:2])[2]
             self._cut(u, a)
             self._join(a, b)
             self._connect(u, i)
@@ -1056,23 +1022,11 @@ class _Engine:
             return
         # new_path: split at a far-right internal vertex, or open trivially
         cap = max((max(r[0], r[1]) for r in self.paths.values()), default=0)
-        plans = []
-        for u in range(w, i):
-            if self.pid[u] == 0 or self._nb_count(u) != 2:
-                continue
-            for x in self._nbrs(u):
-                if x < u and x > cap:
-                    pu = self.pid[u]
-                    far_u = self._far_side(u, x)
-                    far_x = self.paths[pu][0] + self.paths[pu][1] - far_u
-                    rem = (max(self.paths[pu][0], self.paths[pu][1]),)
-                    add = (i, max(x, far_x))
-                    plans.append((self._score(base, rem, add),
-                                  (-u, x), ("split", u, x)))
+        plans = [(self._score(base, (max(far_u, far_x),), (i, max(x, far_x))),
+                  (-u, x), ("split", u, x))
+                 for u, x, far_u, far_x in self._splits(w, i, cap)]
         if plans:
-            plans.sort(key=lambda t: (t[0], t[1]), reverse=True)
-            _, _, action = plans[0]
-            _, u, x = action
+            _, u, x = max(plans, key=lambda t: t[:2])[2]
             self._cut(u, x)
             self._connect(u, i)
             self._log(i, "new_path", f"split at ({u},{x}), attached to {u}")
@@ -1083,8 +1037,7 @@ class _Engine:
     # ------------------------------------------------------------------
 
     def clone(self):
-        e = _Engine(self.n, self.window, terminal=self.terminal,
-                    excluded=self.excluded)
+        e = _Engine(self.n, self.window, terminal=self.terminal)
         e._adopt(self)
         e.placed = self.placed
         return e
@@ -1107,8 +1060,7 @@ class _Engine:
             for a, b in zip(seq, seq[1:]):
                 if not self.sees(a, b):
                     raise InternalInvariantViolation(f"path {p}: edge ({a},{b}) missing")
-        expect = {v for v in range(1, upto + 1) if v != self.excluded}
-        if seen != expect:
+        if seen != set(range(1, upto + 1)):
             raise InternalInvariantViolation("coverage of prefix broken")
         want_eps = sorted({e for rec in self.paths.values() for e in (rec[0], rec[1])})
         if want_eps != self.eps:

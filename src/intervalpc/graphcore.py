@@ -24,7 +24,6 @@ __all__ = [
     "OrderingViolation",
     "build_ordering",
     "validate_ordering",
-    "leftmost_neighbor",
     "parse_interval_file",
     "parse_adjacency_file",
     "write_interval_file",
@@ -92,12 +91,10 @@ class OrderedGraph:
     construction.
     """
 
-    def __init__(self, n: int, window: list[int], ordering_origin: str,
-                 labels=None):
+    def __init__(self, n: int, window: list[int], labels=None):
         self.n = n
         # window is 1-based; index 0 unused
         self.window = window
-        self.ordering_origin = ordering_origin
         self.labels = labels if labels is not None else list(range(n + 1))
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -142,7 +139,7 @@ def build_ordering(model: IntervalModel) -> OrderedGraph:
         w = bisect_left(rights, left, 0, pos - 1) + 1
         window[pos] = w if w < pos else pos
     labels = [None] + [model.intervals[idx][0] for _, _, idx in keyed]
-    return OrderedGraph(n, window, "from-model", labels)
+    return OrderedGraph(n, window, labels)
 
 
 def validate_ordering(n: int, edges, pi: list[int]) -> OrderedGraph:
@@ -175,15 +172,7 @@ def validate_ordering(n: int, edges, pi: list[int]) -> OrderedGraph:
                 if j not in nbrs[k]:
                     raise OrderingViolation(w, j, k)
         window[k] = w
-    return OrderedGraph(n, window, "claimed-and-validated", [None] + list(pi))
-
-
-def leftmost_neighbor(g: OrderedGraph, i: int):
-    """Minimum-index neighbour of v_i below i, or None."""
-    if not 1 <= i <= g.n:
-        raise ValueError(f"vertex {i} out of range")
-    w = g.window[i]
-    return w if w < i else None
+    return OrderedGraph(n, window, [None] + list(pi))
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")

@@ -161,8 +161,8 @@ def _enumerate_paths_through(adj_sets, remaining, s):
             yield tuple(reversed(left)) + (s,) + right
 
 
-def oracle_min_cover(g: OrderedGraph, terminal=None, enumerate_all=False,
-                     max_n=ORACLE_MAX_N, max_enum_n=ORACLE_MAX_ENUM_N) -> OracleResult:
+def oracle_min_cover(g: OrderedGraph, terminal=None,
+                     enumerate_all=False) -> OracleResult:
     """Exact minimum 1PC via subset DP; optionally every optimal cover.
 
     The terminal constraint rides on a pendant vertex attached to the
@@ -171,7 +171,7 @@ def oracle_min_cover(g: OrderedGraph, terminal=None, enumerate_all=False,
     endpoint.
     """
     n = g.n
-    limit = max_enum_n if enumerate_all else max_n
+    limit = ORACLE_MAX_ENUM_N if enumerate_all else ORACLE_MAX_N
     if n > limit:
         raise InstanceTooLarge(f"n={n} exceeds oracle bound {limit}")
     if n == 0:

@@ -11,7 +11,7 @@ from intervalpc.bipartite import (BipartiteConvexGraph, ConvexityViolation,
                                   hp_biconvex, hp_oracle, onehp_biconvex,
                                   hp_xconvex, onehp_xconvex,
                                   parse_bipartite_file, write_bipartite_file,
-                                  _augmented_hp, _solve_terminal_hp)
+                                  _augmented_hp, _solve_hp)
 from intervalpc.generators import GenSpec, gen_biconvex
 
 
@@ -161,9 +161,9 @@ def hp_loop_reference(g):
     if len(deg1) > 2:
         return None
     if deg1:
-        return _solve_terminal_hp(g, graph, vertex[("y", deg1[0])])
+        return _solve_hp(g, graph, vertex[("y", deg1[0])])
     for y in g.Y:
-        res = _solve_terminal_hp(g, graph, vertex[("y", y)])
+        res = _solve_hp(g, graph, vertex[("y", y)])
         if res is not None:
             return res
     return None

@@ -259,6 +259,35 @@ def test_threading_plans_carry_a_prefix_answer():
     assert eng.lam_history[32] <= 4
 
 
+# mixed-length intervals on which the interleaved-spans threading plan
+# (t < qlo < ell < qhi) decides the answer at the interval labelled 29
+# (vertex 27): without it the engine answers 4
+INTERLEAVED = [
+    (1, 14381, 21170), (2, 16054, 16721), (3, 33957, 38978),
+    (4, 34768, 36569), (5, 36128, 41315), (6, 11696, 17204),
+    (7, 32548, 33381), (8, 24325, 26632), (9, 27020, 31724),
+    (10, 18535, 21460), (11, 4566, 10453), (12, 26038, 28566),
+    (13, 18919, 20104), (14, 1898, 2464), (15, 20497, 21452),
+    (16, 8057, 11182), (17, 31065, 32437), (18, 32590, 33649),
+    (19, 30490, 31221), (20, 41775, 47138), (21, 23282, 23376),
+    (22, 33077, 33428), (23, 25193, 27565), (24, 19026, 27525),
+    (25, 33917, 41466), (26, 28037, 28844), (27, 29814, 29958),
+    (28, 33586, 36228), (29, 31375, 32897), (30, 7009, 9207),
+    (31, 25952, 40644), (32, 41638, 47631), (33, 3126, 9294),
+    (34, 15349, 22185), (35, 31927, 32888), (36, 6635, 13316),
+    (37, 34790, 38087), (38, 39355, 39830), (39, 8317, 14668),
+    (40, 29525, 35239), (41, 17082, 20063), (42, 33439, 50707),
+]
+
+
+def test_interleaved_threading_plan_carries_an_answer():
+    g = graph_of(*INTERLEAVED)
+    t = 27
+    assert g.label_of(t) == 29
+    # exact: lambda_T >= lambda for every terminal
+    assert solve_1pc(g).lam == 3 == solve_1pc(g, t).lam
+
+
 def _mixed_intervals(rng, n, degree, long_share=0.03, long_factor=25):
     """Left ends uniform on [0, 1000 n); exponential lengths with mean
     degree/2 units of 1000, a long_share of them long_factor times longer."""
@@ -283,6 +312,35 @@ def test_shadow_rescue_keeps_only_the_best_trial():
         tracemalloc.stop()
     assert not validate_cover(g, cover, 654)
     assert peak < 8 * 2 ** 20
+
+
+def test_shadow_solves_the_prefix_without_the_terminal():
+    # the shadow is a plain free engine never stepped at t: t stays
+    # unplaced and the paths cover the rest of the prefix, with the
+    # count a free solve of those intervals gives (listed in vertex
+    # order, so that the ordering breaks ties the same way)
+    rng = random.Random(8)
+    built = 0
+    for _ in range(40):
+        n = rng.randint(8, 120)
+        intervals = _mixed_intervals(rng, n, rng.choice([4, 6, 10]))
+        g = graph_of(*intervals)
+        by_label = {iv[0]: iv for iv in intervals}
+        for t in rng.sample(range(1, n + 1), 4):
+            shadow = run_engine(g, t)._shadow
+            if shadow is None:
+                continue
+            built += 1
+            upto = shadow._shadow_upto
+            assert shadow.terminal_pid == 0 and shadow.pid[t] == 0
+            assert t not in shadow.eps
+            covered = sorted(v for rec in shadow.paths.values()
+                             for v in shadow._walk(rec[0]))
+            rest = [v for v in range(1, upto + 1) if v != t]
+            assert covered == rest
+            prefix = graph_of(*[by_label[g.label_of(v)] for v in rest])
+            assert shadow.lam == solve_1pc(prefix).lam
+    assert built >= 100
 
 
 # convexified balanced biconvex graphs (|X| = |Y| = k, so n = 2k) and the
@@ -345,3 +403,30 @@ def test_restructure_tiers_differ_by_one_path(monkeypatch):
                 assert trial.lam == state.lam - (tier == 1)
                 seen[tier] += 1
     assert seen[1] and seen[2]
+
+
+# sha256 of every cover and lam_history of _high_degree_stream(), computed
+# when the shadow still skipped the terminal through an explicit exclusion,
+# whose answers the plain terminal-free shadow must keep: mixed-length
+# graphs of expected degree 10-20, where the restructure tiers, the
+# ``cands[:16]`` cap and the ``n <= 64`` transfers all decide answers
+HIGH_DEGREE_DIGEST = "db94514c08923b9f9018d27630dbaac4b976d8c0747e7c465875ce95655033f8"
+
+
+def _high_degree_stream():
+    rng = random.Random(77)
+    for _ in range(16):
+        n = rng.randint(30, 100)
+        g = graph_of(*_mixed_intervals(rng, n, rng.randint(10, 20)))
+        yield g, None
+        for _ in range(3):
+            yield g, rng.randint(1, n)
+
+
+def test_engine_answers_match_high_degree_digest():
+    h = hashlib.sha256()
+    for g, t in _high_degree_stream():
+        eng = run_engine(g, t)
+        h.update(serialize_cover(eng.result(g.n)).encode())
+        h.update(repr(eng.lam_history).encode())
+    assert h.hexdigest() == HIGH_DEGREE_DIGEST

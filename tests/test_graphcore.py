@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from intervalpc.graphcore import (IntervalModel, OrderingViolation,
                                   build_ordering, validate_ordering,
-                                  leftmost_neighbor, parse_interval_file,
-                                  parse_adjacency_file, write_interval_file)
+                                  parse_interval_file, parse_adjacency_file,
+                                  write_interval_file)
 
 
 def model(*triples):
@@ -71,7 +71,6 @@ def test_ordering_roundtrip_and_edges_match_naive(m):
 
 def test_validate_ordering_path_ok():
     g = validate_ordering(3, [(1, 2), (2, 3)], [1, 2, 3])
-    assert g.ordering_origin == "claimed-and-validated"
     assert g.has_edge(1, 2) and not g.has_edge(1, 3)
 
 
@@ -87,15 +86,6 @@ def test_c4_has_no_valid_ordering():
     for pi in permutations([1, 2, 3, 4]):
         with pytest.raises(OrderingViolation):
             validate_ordering(4, edges, list(pi))
-
-
-def test_leftmost_neighbor():
-    k3 = build_ordering(model(("a", 0, 3), ("b", 1, 4), ("c", 2, 5)))
-    assert leftmost_neighbor(k3, 3) == 1
-    edgeless = build_ordering(model((1, 0, 0), (2, 5, 5)))
-    assert leftmost_neighbor(edgeless, 2) is None
-    g = build_ordering(model(("a", 0, 5), ("b", 1, 2), ("c", 3, 4)))
-    assert leftmost_neighbor(g, 3) == 1  # a's leftmost neighbour is b
 
 
 def test_interval_file_roundtrip():
