@@ -2,8 +2,8 @@
 
 Subcommands: solve (path covers / HP questions), verify (check a cover
 file against a graph file), oracle (differential engine-vs-oracle runs),
-bench (engine scaling, and the oracle kernels timed alone), gen (random
-instance files).
+bench (terminal-solve scaling and its ratio to a free solve, and the
+oracle kernels timed alone), gen (random instance files).
 
 Exit codes: 0 success, 1 failed verification or oracle mismatch, 2 parse
 error or invalid argument, 3 invalid claimed ordering, 4 instance too
@@ -143,8 +143,7 @@ def cmd_oracle(args):
         if n > ORACLE_MAX_N:   # before listing all n! models
             return _error(f"n={n} exceeds oracle bound {ORACLE_MAX_N}",
                           EXIT_TOO_LARGE)
-        models = [(f"exhaustive-n{n}-{idx}", model)
-                  for idx, model in enumerate(exhaustive_interval_models(n))]
+        stem, listing = f"exhaustive-n{n}", lambda: exhaustive_interval_models(n)
         repro = f"intervalpc oracle --exhaustive n={n}"
     else:
         try:
@@ -152,12 +151,17 @@ def cmd_oracle(args):
                            seed=args.seed, count=args.random)
         except ValueError as exc:
             return _error(exc, EXIT_PARSE)
-        models = [(f"random-seed{args.seed}-{idx}", model)
-                  for idx, model in enumerate(gen_interval(spec))]
+        stem, listing = f"random-seed{args.seed}", lambda: gen_interval(spec)
         repro = (f"intervalpc oracle --random count={args.random} "
                  f"--n {args.n} --density {args.density} --seed {args.seed}")
+
+    def models():
+        # a stream: n! exhaustive models need not fit in memory at once
+        return ((f"{stem}-{idx}", model)
+                for idx, model in enumerate(listing()))
+
     try:
-        report = diff_engine_vs_oracle(models, prefix_mode=args.prefix)
+        report = diff_engine_vs_oracle(models(), prefix_mode=args.prefix)
     except InstanceTooLarge as exc:
         return _error(exc, EXIT_TOO_LARGE)
     if args.json:
@@ -169,7 +173,8 @@ def cmd_oracle(args):
         # append failing instances so the regression suite replays them
         failing = {m["instance"] for m in report.mismatches}
         failing |= {v["instance"] for v in report.violations}
-        by_label = dict(models)
+        by_label = {label: model for label, model in models()
+                    if label in failing}
         with open(args.corpus, "a") as fh:
             for label in sorted(failing):
                 fh.write(json.dumps({
@@ -194,18 +199,25 @@ def cmd_bench(args):
     rows = []
     for spec in specs:
         n = spec.n
-        times = []
+        times, ratios = [], []
         lam = None
         for model in gen_interval(spec):
             g = build_ordering(model)
             t0 = time.perf_counter()
+            solve_1pc(g)
+            t1 = time.perf_counter()
             cover = solve_1pc(g, terminal=(n // 2 or None))
-            times.append(time.perf_counter() - t0)
+            t2 = time.perf_counter()
+            times.append(t2 - t1)
+            ratios.append((t2 - t1) / max(t1 - t0, 1e-9))
             lam = cover.lam
         times.sort()
+        ratios.sort()
         med = times[len(times) // 2]
+        ratio = ratios[len(ratios) // 2]
         rows.append((n, med))
-        print(f"n={n:>7d}  median={med * 1000:10.2f} ms  lambda={lam}")
+        print(f"n={n:>7d}  median={med * 1000:10.2f} ms  "
+              f"terminal/free={ratio:6.2f}  lambda={lam}")
     if len({n for n, _ in rows}) >= 2:  # a fit needs two distinct sizes
         xs = [math.log(n) for n, _ in rows]
         ys = [math.log(max(t, 1e-9)) for _, t in rows]
@@ -295,7 +307,8 @@ def build_parser():
     p.add_argument("--corpus", help="append failing instances to this file")
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("bench", help="engine timing table and scaling fit")
+    p = sub.add_parser("bench", help="terminal-solve timing table, its ratio "
+                       "to a free solve, and scaling fit")
     p.add_argument("--sizes", default="1000,2000,4000")
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--density", type=float, default=0.9)

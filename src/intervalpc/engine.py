@@ -24,8 +24,17 @@ terminal-free engine, forked lazily from the state just before the
 terminal and stepped from the terminal's successor on, so it never steps
 the terminal and solves the prefix without it.  When the shadow is one
 path ahead, the engine adopts its cover and re-threads the terminal.
+The shadow is stepped only up to where it is asked for: at a blocked
+merge, and at a connect or split while the cover has two or more paths.
+A shadow holding a vertex has a path, so it is never ahead of one path
+except while empty, at v_2 with t = v_1.  It hangs off the snapshot,
+so carried states share one shadow however late it is first built.
 The terminal branches also weigh a composite edit (cut a path near v_i,
-possibly rejoin a loose end, then bridge) against the plain one.
+possibly rejoin a loose end, then bridge) against the plain one.  A
+bridge that merges the last two paths skips that search when the plain
+merge's free end is v_{i-1}: every composite is then one path ending at
+t as well, ``_rank`` prefers it only for a higher free end, and v_i
+lies inside every bridged path, so no free end tops v_{i-1}.
 
 Once a terminal is set, endpoint dominance no longer settles every tie.
 Two covers of equal count can have incomparable profiles of usable
@@ -169,8 +178,8 @@ class _Engine:
         self.next_pid = 1
         self.placed = 0
         self.lam_history = []     # per-prefix answers, set by run_engine
-        self._snapshot = None
-        self._shadow = None
+        self._snapshot = None     # the state before t; its _shadow is shared
+        self._shadow = None       # the shadow, once this state asked for it
         self._shadow_upto = 0
         self._alts = []           # equal-count alternatives kept this step
 
@@ -483,7 +492,8 @@ class _Engine:
 
     def _fork(self, src, mark, i, op, detail):
         """An independent state holding src's cover and this state's
-        trace; it shares the terminal-free shadow run."""
+        trace; it shares the snapshot, and with it the terminal-free
+        shadow run."""
         f = self.clone()
         f._adopt(src)
         f._snapshot = self._snapshot
@@ -636,45 +646,72 @@ class _Engine:
     def _do_bridge_branch(self, i, w, free_exp):
         """Bridge, letting a terminal detach-and-rejoin compete with the
         plain merge on the surviving endpoint set.  The plain merge drops a
-        path, so ``_rank`` would keep it over any tier-2 trial."""
-        composite = self._restructure_trials(i, w, merges_only=True)
+        path, so ``_rank`` would keep it over any tier-2 trial.
+
+        Merging the last two paths, every tier-1 trial is one path ending
+        at t, like the plain merge, and ``_rank`` prefers it only for a
+        higher free end.  v_i is inside every bridged path, so no free end
+        tops v_{i-1}: a plain merge that ends there skips the search."""
+        action = self._bridge_action(i, w, free_exp)
+        if self.lam == 2 and i - 1 != self.terminal \
+                and i - 1 in self._merged_ends(action):
+            composite = None
+        else:
+            composite = self._restructure_trials(i, w, merges_only=True)
         if composite is None:
-            self._do_bridge(i, w, free_exp)
+            self._log(i, "bridge", self._apply_bridge(i, action))
             return
         plain = self.clone()
-        plain._do_bridge(i, w, free_exp)
+        plain._apply_bridge(i, action)
         self._take(i, *self._rank(
             (plain, "bridge", "plain merge"),
             (composite, "bridge", "terminal detached and re-threaded, then bridge")))
 
     def _do_bridge(self, i, w, free_exp):
+        """The best plain merge on a trial state, which logs nothing."""
+        self._apply_bridge(i, self._bridge_action(i, w, free_exp))
+
+    def _bridge_action(self, i, w, free_exp):
+        """The best plain merge: ("pair", e1, e2) or ("rebuild", tp, q, seq)."""
         pair, removed, added = self._plain_bridge_plan(free_exp)
         base = self._base_maxes()
         plans = [(self._score(base, removed, added), 0, 0, ("pair",) + pair)]
         plans.extend(self._threading_plans(i, w, free_exp))
-        action = max(plans, key=lambda t: (t[0], -t[1], -t[2]))[3]
+        return max(plans, key=lambda t: (t[0], -t[1], -t[2]))[3]
+
+    def _merged_ends(self, action):
+        """The two ends of the path ``_apply_bridge(i, action)`` makes."""
+        if action[0] == "pair":
+            return tuple(self.other_end(self.pid[e], e) for e in action[1:])
+        seq = action[3]
+        return seq[0], seq[-1]
+
+    def _apply_bridge(self, i, action):
+        """Merge two paths through v_i by ``action``; returns the log detail."""
         if action[0] == "pair":
             _, e1, e2 = action
             self._bridge_pair(e1, e2, i)
-            self._log(i, "bridge", f"through {e1} and {e2}")
-        else:
-            _, tp, q, seq = action
-            size = self.paths[tp][2] + self.paths[q][2] + 1
-            self._rebuild_merged(tp, q, seq, size)
-            self._log(i, "bridge", f"threaded through terminal path (with path of {q})")
+            return f"through {e1} and {e2}"
+        _, tp, q, seq = action
+        size = self.paths[tp][2] + self.paths[q][2] + 1
+        self._rebuild_merged(tp, q, seq, size)
+        return f"threaded through terminal path (with path of {q})"
 
     # -- terminal detour --------------------------------------------------
 
     def _ensure_shadow(self, upto):
-        if self._shadow is None:
-            snap = self._snapshot
+        snap = self._snapshot
+        if snap._shadow is None:
+            # built on the snapshot, which every carried state shares, so
+            # they share one shadow however late it is first asked for
             sh = _Engine(self.n, self.window)
             sh._adopt(snap)   # no terminal_pid yet: the terminal is unplaced
             sh.placed = snap.placed
             sh._shadow_upto = self.terminal
-            self._shadow = sh
-        # the shadow records its own progress: carried states share it
-        sh = self._shadow
+            snap._shadow = sh
+        # the shadow records its own progress, so it is stepped only as far
+        # as the furthest state asked
+        sh = self._shadow = snap._shadow
         for k in range(sh._shadow_upto + 1, upto + 1):
             sh.step(k)
         sh._shadow_upto = max(sh._shadow_upto, upto)
@@ -910,10 +947,11 @@ class _Engine:
             if best[0] is composite:
                 self._take(i, best, carried)
                 return
-        if self.terminal_pid:
-            # the shadow run may be a whole path ahead even though the
-            # terminal is out of sight; rebuild from it when that strictly
-            # shrinks the cover
+        # the shadow run may be a whole path ahead even though the terminal
+        # is out of sight; rebuild from it when that strictly shrinks the
+        # cover.  A shadow holding a vertex has a path, so it can be ahead
+        # of one path only while empty: at i = 2 with t = 1
+        if self.terminal_pid and (self.lam > 1 or i == 2):
             shadow = self._ensure_shadow(i - 1)
             if shadow.lam < self.lam:
                 rescue = self._shadow_rescue(i, w)

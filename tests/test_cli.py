@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -154,6 +155,55 @@ def test_oracle_exhaustive_too_large_exits_before_listing_models(capsys):
     assert capsys.readouterr().err == "error: n=13 exceeds oracle bound 12\n"
 
 
+def test_oracle_exhaustive_streams_the_models(monkeypatch, capsys):
+    # 12! models would not fit in memory: the diff reads them one by one,
+    # and listing a model the diff never read fails
+    from intervalpc import generators, oracle
+    real = generators.exhaustive_interval_models
+    listed, read = [], []
+
+    def counted(n):
+        for model in real(n):
+            listed.append(model)
+            assert len(listed) <= 2, "listed a model the diff never read"
+            yield model
+
+    def diff_two(instances, prefix_mode=False):
+        read.extend(next(instances) for _ in range(2))
+        return oracle.DiffReport()
+
+    monkeypatch.setattr(generators, "exhaustive_interval_models", counted)
+    monkeypatch.setattr(oracle, "diff_engine_vs_oracle", diff_two)
+    assert main(["oracle", "--exhaustive", "n=12"]) == 0
+    assert [label for label, _ in read] == ["exhaustive-n12-0",
+                                            "exhaustive-n12-1"]
+    assert len(listed) == 2
+
+
+def test_oracle_corpus_lists_the_models_again(monkeypatch, tmp_path, capsys):
+    from intervalpc import oracle
+
+    def diff_flagging(instances, prefix_mode=False):
+        report = oracle.DiffReport()
+        for label, _ in instances:
+            report.instances += 1
+            if label in ("exhaustive-n4-3", "exhaustive-n4-10"):
+                report.add_mismatch(label, 1, "final", 2, 1)
+        return report
+
+    monkeypatch.setattr(oracle, "diff_engine_vs_oracle", diff_flagging)
+    corpus = tmp_path / "corpus.jsonl"
+    assert main(["oracle", "--exhaustive", "n=4",
+                 "--corpus", str(corpus)]) == 1
+    from intervalpc.generators import exhaustive_interval_models
+    models = list(exhaustive_interval_models(4))
+    lines = [json.loads(line) for line in corpus.read_text().splitlines()]
+    assert [rec["label"] for rec in lines] == ["exhaustive-n4-10",
+                                               "exhaustive-n4-3"]
+    assert lines[1]["intervals"] == [[lab, str(lo), str(hi)]
+                                     for lab, lo, hi in models[3]]
+
+
 @pytest.mark.parametrize("argv", [
     ["oracle", "--random", "count=3", "--density", "2"],
     ["oracle", "--random", "count=-1"],
@@ -266,6 +316,11 @@ def test_bench_tiny(capsys):
                  "--kernels"]) == 0
     out = capsys.readouterr().out
     assert "scaling exponent" in out and "backend" not in out
+    size_lines = [line for line in out.splitlines() if line.startswith("n=")]
+    assert len(size_lines) == 2
+    for line in size_lines:
+        ratio = float(line.split("terminal/free=")[1].split()[0])
+        assert ratio > 0
     kernel_lines = [line for line in out.splitlines()
                     if line.startswith("oracle kernels n=")]
     assert [line.split(":")[0] for line in kernel_lines] == [

@@ -11,7 +11,8 @@ from intervalpc.bipartite import convexify
 from intervalpc.graphcore import IntervalModel, build_ordering
 from intervalpc.engine import (PathCover, _Engine, epsilon_vector, parse_cover,
                                run_engine, serialize_cover, solve_1pc)
-from intervalpc.generators import GenSpec, exhaustive_interval_models, gen_biconvex
+from intervalpc.generators import (GenSpec, exhaustive_interval_models,
+                                   gen_biconvex, gen_interval)
 from intervalpc.oracle import check_nesting, oracle_min_cover, validate_cover
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -113,6 +114,16 @@ def test_terminal_last_never_builds_shadow():
     eng = run_engine(g, terminal=5)
     assert eng._shadow is None
     assert eng.result(5).lam == 1
+
+
+def test_carried_states_share_a_shadow_built_after_the_fork():
+    eng = _Engine(5, k_n(5).window, terminal=2)
+    for i in (1, 2, 3):
+        eng.step(i)
+    fork = eng._fork(eng, 0, 3, "connect", "carried")
+    assert eng._shadow is None and fork._shadow is None
+    shadow = fork._ensure_shadow(3)
+    assert eng._ensure_shadow(3) is shadow and shadow._shadow_upto == 3
 
 
 def test_shadow_size_relation_sampled():
@@ -430,3 +441,44 @@ def test_engine_answers_match_high_degree_digest():
         h.update(serialize_cover(eng.result(g.n)).encode())
         h.update(repr(eng.lam_history).encode())
     assert h.hexdigest() == HIGH_DEGREE_DIGEST
+
+
+# one-path graphs, where the shadow is a path ahead only at i = 2 and
+# bridges merge the last two paths: dense ``gen_interval`` graphs and
+# convexified balanced biconvex graphs (k, density, seed)
+ONE_PATH_INTERVAL = (40, 60, 80, 100, 120)
+ONE_PATH_BICONVEX = [(10, 0.7, 2), (12, 0.7, 1), (15, 0.5, 1), (15, 0.7, 1),
+                     (20, 0.5, 2)]
+# sha256 of every cover and lam_history of _one_path_stream(), computed
+# when every one-path solve still stepped the shadow and ran the bridge
+# search, whose answers the skips must keep
+ONE_PATH_DIGEST = "d9284dfa69cdf05b12d10cfc0fd55d977c7768e92c2c9b51ae61c525b10886b6"
+
+
+def _one_path_stream():
+    for n in ONE_PATH_INTERVAL:
+        yield build_ordering(gen_interval(GenSpec(kind="interval", n=n,
+                                                  density=0.9, seed=n))[0])
+    for k, density, seed in ONE_PATH_BICONVEX:
+        yield _biconvex_graph(k, density, seed)
+
+
+def test_one_path_answers_match_digest():
+    h = hashlib.sha256()
+    for g in _one_path_stream():
+        assert solve_1pc(g).lam == 1
+        for t in range(1, g.n + 1):
+            eng = run_engine(g, t)
+            h.update(serialize_cover(eng.result(g.n)).encode())
+            h.update(repr(eng.lam_history).encode())
+    assert h.hexdigest() == ONE_PATH_DIGEST
+
+
+def test_one_path_terminal_solves_never_build_the_shadow():
+    # with one path the shadow can be a path ahead only while empty, at
+    # i = 2 with t = 1, so no other terminal needs it
+    for seed in range(500, 505):
+        g = build_ordering(gen_interval(GenSpec(kind="interval", n=300,
+                                                density=0.9, seed=seed))[0])
+        for t in (2, 3, 50, 100, 150, 200, 250, 298, 299):
+            assert run_engine(g, t)._shadow is None
