@@ -285,30 +285,34 @@ def hp_xconvex(g: BipartiteConvexGraph, trace=None):
 
 
 def onehp_xconvex(g: BipartiteConvexGraph, start):
-    """1HP on an X-convex graph for the supported size/start cases."""
-    k, m = len(g.X), len(g.Y)
+    """1HP on an X-convex graph for the supported size/start cases.  A
+    label on both sides names its X vertex."""
     in_x = start in set(g.X)
-    in_y = start in set(g.Y)
-    if not in_x and not in_y:
+    if not in_x and start not in set(g.Y):
         raise ValueError(f"{start!r} is not a vertex")
+    return _onehp_xconvex(g, "x" if in_x else "y", start)
+
+
+def _onehp_xconvex(g: BipartiteConvexGraph, side, start):
+    """``onehp_xconvex`` from the vertex ``start`` on ``side`` ("x" or
+    "y"), which also holds when X and Y share the label."""
+    k, m = len(g.X), len(g.Y)
     if abs(k - m) > 1:
         return None
     if k == m:
-        if in_x:
+        if side == "x":
             raise UnsupportedCase(
                 "|X|=|Y| with a start in X needs the two-fixed-endpoint problem")
         graph, _ = convexify(g, "add-Y-edges")
-        res = _solve_hp(g, graph, _vertex_of_label(graph)[("y", start)])
     elif k - m == 1:
         graph, _ = convexify(g, "add-Y-edges")
-        tag = "x" if in_x else "y"
-        res = _solve_hp(g, graph, _vertex_of_label(graph)[(tag, start)])
     else:  # m - k == 1
-        if in_x:
+        if side == "x":
             return None  # endpoints of any HP both lie in Y
         raise UnsupportedCase(
             "|Y|-|X|=1 with a start in Y needs the two-fixed-endpoint problem")
-    if res is not None and res[0][1] != start:
+    res = _solve_hp(g, graph, _vertex_of_label(graph)[(side, start)])
+    if res is not None and res[0] != (side, start):
         res.reverse()
     return res
 

@@ -86,8 +86,8 @@ def cmd_solve(args):
 
 def _solve_bipartite(args):
     from .bipartite import (ConvexityViolation, StartNotInY, UnsupportedCase,
-                            hp_biconvex, hp_xconvex, onehp_biconvex,
-                            onehp_xconvex, parse_bipartite_file)
+                            _onehp_xconvex, hp_biconvex, hp_xconvex,
+                            onehp_biconvex, parse_bipartite_file)
     try:
         g = parse_bipartite_file(open(args.input).read())
     except (OSError, ValueError, ConvexityViolation) as exc:
@@ -97,9 +97,10 @@ def _solve_bipartite(args):
     trace = [] if args.trace else None
     try:
         if args.terminal is not None:
+            # --terminal names a Y vertex, even where X has its label
             start = g.Y[args.terminal - 1]
             path = (onehp_biconvex(g, start) if g.convexity == "bi"
-                    else onehp_xconvex(g, start))
+                    else _onehp_xconvex(g, "y", start))
         else:
             hp = hp_biconvex if g.convexity == "bi" else hp_xconvex
             path = hp(g, trace=trace)
@@ -140,6 +141,8 @@ def cmd_oracle(args):
     from .oracle import ORACLE_MAX_N, InstanceTooLarge, diff_engine_vs_oracle
     if args.exhaustive is not None:
         n = args.exhaustive
+        if n < 0:
+            return _error(f"n={n} must be non-negative", EXIT_PARSE)
         if n > ORACLE_MAX_N:   # before listing all n! models
             return _error(f"n={n} exceeds oracle bound {ORACLE_MAX_N}",
                           EXIT_TOO_LARGE)

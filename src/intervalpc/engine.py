@@ -176,7 +176,6 @@ class _Engine:
         self.lam = 0
         self.terminal_pid = 0
         self.next_pid = 1
-        self.placed = 0
         self.lam_history = []     # per-prefix answers, set by run_engine
         self._snapshot = None     # the state before t; its _shadow is shared
         self._shadow = None       # the shadow, once this state asked for it
@@ -207,18 +206,17 @@ class _Engine:
         idx = bisect_left(self.eps, v)
         del self.eps[idx]
 
-    def _nb_count(self, v):
-        return (self.nb1[v] != 0) + (self.nb2[v] != 0)
-
     def _nbrs(self, v):
-        a, b = self.nb1[v], self.nb2[v]
-        if a and b:
-            return (a, b)
-        if a:
-            return (a,)
-        if b:
-            return (b,)
-        return ()
+        return tuple(x for x in (self.nb1[v], self.nb2[v]) if x)
+
+    def _inner_edges(self, us):
+        """Yield (u, x) for each internal vertex u in us and each of its
+        two path neighbours x."""
+        nb1, nb2 = self.nb1, self.nb2
+        for u in us:
+            if nb1[u] and nb2[u]:
+                yield u, nb1[u]
+                yield u, nb2[u]
 
     def _nb_add(self, v, x):
         if self.nb1[v] == 0:
@@ -244,9 +242,10 @@ class _Engine:
         rec = self.paths[self.terminal_pid]
         return rec[0] == rec[1]  # trivial terminal path keeps a free side
 
-    def _walk(self, start, stop_after=None):
+    def _walk(self, start, prev=0, stop_after=None):
+        """The path's vertices from start, walking away from its path
+        neighbour prev (0: from an endpoint), up to stop_after if given."""
         seq = [start]
-        prev = 0
         cur = start
         while True:
             nxt = self.nb1[cur]
@@ -264,14 +263,14 @@ class _Engine:
     # ------------------------------------------------------------------
     # primitive operations
 
-    def _new_path(self, v, terminal=False):
+    def _new_path(self, v):
         p = self.next_pid
         self.next_pid += 1
         self.paths[p] = [v, v, 1]
         self.pid[v] = p
         self._add_ep(v)
         self.lam += 1
-        if terminal:
+        if v == self.terminal:
             self.terminal_pid = p
 
     def _connect(self, e, v):
@@ -348,8 +347,8 @@ class _Engine:
         """Remove the path edge u-x, splitting the path in two."""
         p = self.pid[u]
         rec = self.paths[p]
-        u_was_internal = self._nb_count(u) == 2
-        x_was_internal = self._nb_count(x) == 2
+        u_was_internal = self.nb1[u] and self.nb2[u]
+        x_was_internal = self.nb1[x] and self.nb2[x]
         self._nb_remove(u, x)
         self._nb_remove(x, u)
         seq_u = self._walk(u)
@@ -381,7 +380,7 @@ class _Engine:
             self.terminal_pid = self.pid[self.terminal]
         return u_pid, x_pid
 
-    def _rebuild_merged(self, p1, p2, seq, size):
+    def _rebuild_merged(self, p1, p2, seq):
         """Replace paths p1, p2 by the explicit vertex sequence seq."""
         for p in (p1, p2):
             rec = self.paths[p]
@@ -391,7 +390,7 @@ class _Engine:
             self.nb1[v] = seq[idx - 1] if idx > 0 else 0
             self.nb2[v] = seq[idx + 1] if idx + 1 < len(seq) else 0
             self.pid[v] = p1
-        self.paths[p1] = [seq[0], seq[-1], size]
+        self.paths[p1] = [seq[0], seq[-1], len(seq)]
         del self.paths[p2]
         for e in {seq[0], seq[-1]}:
             self._add_ep(e)
@@ -456,13 +455,13 @@ class _Engine:
         if self.terminal is not None and i == self.terminal:
             self._snapshot = self.clone()
         mark = len(self.trace) if self.trace is not None else 0
-        if self.placed == 0:
-            self._new_path(i, terminal=(i == self.terminal))
+        if not self.paths:
+            self._new_path(i)
             self._log(i, "new_path", "first vertex")
         else:
             w = self.window[i]
             if w >= i:
-                self._new_path(i, terminal=(i == self.terminal))
+                self._new_path(i)
                 self._log(i, "new_path", "isolated in prefix")
             elif i == self.terminal:
                 lo = bisect_left(self.eps, w)
@@ -472,7 +471,7 @@ class _Engine:
                     self.terminal_pid = self.pid[i]
                     self._log(i, "connect", f"terminal onto {e}")
                 else:
-                    self._new_path(i, terminal=True)
+                    self._new_path(i)
                     self._log(i, "new_path", "terminal isolated from endpoints")
             else:
                 exposed, free_exp = self._classify(w)
@@ -484,7 +483,6 @@ class _Engine:
                     self._do_connect_or_break(i, w, free_exp)
                 else:
                     self._do_newpath_branch(i, w)
-        self.placed += 1
         forks = [self._fork(src, mark, i, op, detail)
                  for src, op, detail in self._alts]
         self._alts = []
@@ -494,8 +492,7 @@ class _Engine:
         """An independent state holding src's cover and this state's
         trace; it shares the snapshot, and with it the terminal-free
         shadow run."""
-        f = self.clone()
-        f._adopt(src)
+        f = src.clone()
         f._snapshot = self._snapshot
         f._shadow = self._shadow
         if self.trace is not None:
@@ -533,58 +530,29 @@ class _Engine:
             self._alts.append(carried)
 
     def _classify(self, w):
-        exposed = {}
-        for v in self.eps[bisect_left(self.eps, w):]:
-            exposed.setdefault(self.pid[v], []).append(v)
+        """The pids of the paths with an endpoint v_i sees (in [w, i)), and
+        per such path with a free one its free seen endpoints, ascending."""
+        exposed = set()
         free_exp = {}
-        for p, vs in exposed.items():
-            if p == self.terminal_pid:
-                rec = self.paths[p]
-                if rec[0] == rec[1]:
-                    free = vs
-                else:
-                    free = [v for v in vs if v != self.terminal]
-            else:
-                free = vs
-            if free:
-                free_exp[p] = free
+        for v in self.eps[bisect_left(self.eps, w):]:
+            exposed.add(self.pid[v])
+            if self.is_free_ep(v):
+                free_exp.setdefault(self.pid[v], []).append(v)
         return exposed, free_exp
 
     # -- bridge ---------------------------------------------------------
-
-    def _plain_bridge_plan(self, free_exp):
-        infos = []
-        for p, seen in free_exp.items():
-            rec = self.paths[p]
-            lo_ep, hi_ep = min(rec[0], rec[1]), max(rec[0], rec[1])
-            c = seen[0]
-            o = c if rec[0] == rec[1] else rec[0] + rec[1] - c
-            left_ok = seen[0] == lo_ep  # leftmost seen is the left endpoint
-            infos.append((hi_ep, c, o, p, left_ok))
-        infos.sort()
-        a = infos[0]
-        j_cands = [t for t in infos[1:] if t[4]]
-        b = min(j_cands, key=lambda t: t[1]) if j_cands else infos[1]
-        removed = (a[0], b[0])
-        added = (max(a[2], b[2]),)
-        return (a[1], b[1]), removed, added
 
     def _threading_plans(self, i, w, free_exp):
         """Merges of the terminal path with a free path that keep the
         terminal path's endpoint positions (cases where the two paths'
         endpoint spans nest or interleave)."""
-        plans = []
-        tp = self.terminal_pid
-        if not tp:
-            return plans
-        rec = self.paths[tp]
-        if rec[0] == rec[1]:
-            return plans
-        t = self.terminal
+        tp, t = self.terminal_pid, self.terminal
+        # a trivial terminal path has other_end(tp, t) == t
+        if not tp or self.other_end(tp, t) <= t:
+            return []
         ell = self.other_end(tp, t)
-        if ell < t:
-            return plans
-        for q, _seen in free_exp.items():
+        base, plans = self._base_maxes(), []
+        for q in free_exp:
             if q == tp:
                 continue
             qrec = self.paths[q]
@@ -595,43 +563,45 @@ class _Engine:
                 # free path nested inside the terminal span
                 tp_seq = self._walk(t)
                 pos = self._last_straddle(tp_seq, qhi)
-                if pos is not None:
-                    q_seq = self._walk(qhi, stop_after=qlo)
-                    seq = tp_seq[:pos + 2] + q_seq + [i] + tp_seq[pos + 2:]
-                    plans.append((self._score(self._base_maxes(), (qhi,), ()),
-                                  1, q, ("rebuild", tp, q, seq)))
+                if pos is None:
+                    continue
+                q_seq = self._walk(qhi, stop_after=qlo)
+                seq = tp_seq[:pos + 2] + q_seq + [i] + tp_seq[pos + 2:]
+                rem, add = (qhi,), ()
             elif qlo < t and ell < qhi and self.sees(i, qlo):
                 # terminal span nested inside the free path
                 q_seq = self._walk(qlo)
                 pos = self._last_straddle(q_seq, ell)
-                if pos is not None:
-                    tp_seq = self._walk(t)
-                    c = q_seq[pos + 2]
-                    head = tp_seq + [q_seq[pos + 1]] + q_seq[pos::-1] + [i]
-                    if c < qhi:
-                        seq = head + q_seq[pos + 2:]
-                        rem, add = (ell,), ()
-                    else:
-                        seq = head + q_seq[:pos + 1:-1]
-                        rem, add = (ell, qhi), (c,)
-                    plans.append((self._score(self._base_maxes(), rem, add),
-                                  1, q, ("rebuild", tp, q, seq)))
+                if pos is None:
+                    continue
+                tp_seq = self._walk(t)
+                c = q_seq[pos + 2]
+                head = tp_seq + [q_seq[pos + 1]] + q_seq[pos::-1] + [i]
+                if c < qhi:
+                    seq = head + q_seq[pos + 2:]
+                    rem, add = (ell,), ()
+                else:
+                    seq = head + q_seq[:pos + 1:-1]
+                    rem, add = (ell, qhi), (c,)
             elif t < qlo < ell < qhi and w <= ell:
                 # interleaved spans
                 tp_seq = self._walk(t)
                 pos = self._last_straddle(tp_seq, qlo)
-                if pos is not None:
-                    q_seq = self._walk(qlo, stop_after=qhi)
-                    c = tp_seq[pos + 2]
-                    head = tp_seq[:pos + 2] + q_seq + [i]
-                    if self.sees(i, c):
-                        seq = head + tp_seq[pos + 2:]
-                        rem, add = (qhi,), ()
-                    else:
-                        seq = head + tp_seq[:pos + 1:-1]
-                        rem, add = (qhi, ell), (c,)
-                    plans.append((self._score(self._base_maxes(), rem, add),
-                                  1, q, ("rebuild", tp, q, seq)))
+                if pos is None:
+                    continue
+                q_seq = self._walk(qlo, stop_after=qhi)
+                c = tp_seq[pos + 2]
+                head = tp_seq[:pos + 2] + q_seq + [i]
+                if self.sees(i, c):
+                    seq = head + tp_seq[pos + 2:]
+                    rem, add = (qhi,), ()
+                else:
+                    seq = head + tp_seq[:pos + 1:-1]
+                    rem, add = (qhi, ell), (c,)
+            else:
+                continue
+            plans.append((self._score(base, rem, add), 1, q,
+                          ("rebuild", tp, q, seq)))
         return plans
 
     def _last_straddle(self, seq, value):
@@ -672,10 +642,23 @@ class _Engine:
         self._apply_bridge(i, self._bridge_action(i, w, free_exp))
 
     def _bridge_action(self, i, w, free_exp):
-        """The best plain merge: ("pair", e1, e2) or ("rebuild", tp, q, seq)."""
-        pair, removed, added = self._plain_bridge_plan(free_exp)
-        base = self._base_maxes()
-        plans = [(self._score(base, removed, added), 0, 0, ("pair",) + pair)]
+        """The best plain merge: ("pair", e1, e2) or ("rebuild", tp, q, seq).
+        The pair bridges the path with the lowest top endpoint and, of the
+        others whose leftmost seen endpoint is their lower end, the one
+        seen lowest (else the path with the next lowest top)."""
+        infos = []
+        for p, seen in free_exp.items():
+            rec = self.paths[p]
+            c = seen[0]
+            o = c if rec[0] == rec[1] else rec[0] + rec[1] - c
+            lo, hi = min(rec[0], rec[1]), max(rec[0], rec[1])
+            infos.append((hi, c, o, p, c == lo))
+        infos.sort()
+        a = infos[0]
+        j_cands = [t for t in infos[1:] if t[4]]
+        b = min(j_cands, key=lambda t: t[1]) if j_cands else infos[1]
+        plans = [(self._score(self._base_maxes(), (a[0], b[0]),
+                              (max(a[2], b[2]),)), 0, 0, ("pair", a[1], b[1]))]
         plans.extend(self._threading_plans(i, w, free_exp))
         return max(plans, key=lambda t: (t[0], -t[1], -t[2]))[3]
 
@@ -693,8 +676,7 @@ class _Engine:
             self._bridge_pair(e1, e2, i)
             return f"through {e1} and {e2}"
         _, tp, q, seq = action
-        size = self.paths[tp][2] + self.paths[q][2] + 1
-        self._rebuild_merged(tp, q, seq, size)
+        self._rebuild_merged(tp, q, seq)
         return f"threaded through terminal path (with path of {q})"
 
     # -- terminal detour --------------------------------------------------
@@ -706,7 +688,6 @@ class _Engine:
             # they share one shadow however late it is first asked for
             sh = _Engine(self.n, self.window)
             sh._adopt(snap)   # no terminal_pid yet: the terminal is unplaced
-            sh.placed = snap.placed
             sh._shadow_upto = self.terminal
             snap._shadow = sh
         # the shadow records its own progress, so it is stepped only as far
@@ -726,13 +707,6 @@ class _Engine:
         self.lam = src.lam
         self.next_pid = src.next_pid
         self.terminal_pid = src.terminal_pid
-
-    def _trial_from(self, src):
-        """A copy of src (the shadow or a state derived from it) that
-        carries this instance's terminal, still unplaced."""
-        trial = src.clone()
-        trial.terminal = self.terminal
-        return trial
 
     def _shadow_rescue(self, i, w):
         """The best cover re-derived from the terminal-free shadow run:
@@ -755,7 +729,7 @@ class _Engine:
             for e in var.eps:
                 if not self.sees(t, e):
                     continue
-                trial = self._trial_from(var)
+                trial = var.clone(self.terminal)
                 trial._connect(e, t)
                 trial.terminal_pid = trial.pid[t]
                 _, fexp = trial._classify(w)
@@ -768,7 +742,7 @@ class _Engine:
             lo = bisect_left(shadow.eps, w)
             if lo < len(shadow.eps):
                 e = shadow.eps[lo]
-                trial = self._trial_from(shadow)
+                trial = shadow.clone(self.terminal)
                 trial._connect(e, i)
                 trial._connect(i, t)
                 trial.terminal_pid = trial.pid[t]
@@ -780,15 +754,12 @@ class _Engine:
         # internal vertex (v_i sees nothing below w), optionally rejoin
         # one loose piece elsewhere (or rotate via the sibling's far end),
         # then hang the terminal and bridge
-        for u in range(w, i):
-            if shadow.pid[u] == 0 or shadow._nb_count(u) != 2:
-                continue
-            for v in shadow._nbrs(u):
-                base = self._trial_from(shadow)
-                base._cut(u, v)
-                hang(base, (u, v, 0, 0))
-                for key, joined in base._joins(u, v):
-                    hang(joined, key)
+        for u, v in shadow._inner_edges(range(w, i)):
+            base = shadow.clone(self.terminal)
+            base._cut(u, v)
+            hang(base, (u, v, 0, 0))
+            for key, joined in base._joins(u, v):
+                hang(joined, key)
         return None if best is None else best[1]
 
     def _do_terminal_detour(self, i, w, free_exp):
@@ -857,33 +828,29 @@ class _Engine:
         # candidate cut edges sit at seen internal vertices; scan from the
         # window's right edge and cap the scan on large instances
         cands = [u for u in range(i - 1, w - 1, -1)
-                 if self.pid[u] != 0 and self._nb_count(u) == 2]
+                 if self.nb1[u] and self.nb2[u]]
         seen_edges = {}   # insertion-ordered set
-        for u in cands[:16]:
-            for v in self._nbrs(u):
-                if (v, u) not in seen_edges:
-                    seen_edges[(u, v)] = None
+        for u, v in self._inner_edges(cands[:16]):
+            if (v, u) not in seen_edges:
+                seen_edges[(u, v)] = None
 
         def transfers(u, v, base):
             if self.n <= 64:
                 # second-level transfer feeding a loose end of the
                 # first cut; exact search at oracle scales
-                for u2 in range(w, i):
-                    if base.pid[u2] == 0 or base._nb_count(u2) != 2:
-                        continue
-                    for v2 in base._nbrs(u2):
-                        for l2 in (u2, v2):
-                            o2 = v2 if l2 == u2 else u2
-                            for b2 in (u, v):
-                                if b2 == o2 or base.pid[b2] == base.pid[l2]:
-                                    continue
-                                if not base.sees(l2, b2) \
-                                        or not base.is_free_ep(b2):
-                                    continue
-                                deep = base.clone()
-                                deep._cut(u2, v2)
-                                deep._join(l2, b2)
-                                yield (u, v, u2, v2, l2, b2), deep
+                for u2, v2 in base._inner_edges(range(w, i)):
+                    for l2 in (u2, v2):
+                        o2 = v2 if l2 == u2 else u2
+                        for b2 in (u, v):
+                            if b2 == o2 or base.pid[b2] == base.pid[l2]:
+                                continue
+                            if not base.sees(l2, b2) \
+                                    or not base.is_free_ep(b2):
+                                continue
+                            deep = base.clone()
+                            deep._cut(u2, v2)
+                            deep._join(l2, b2)
+                            yield (u, v, u2, v2, l2, b2), deep
             yield (u, v, 0, 0), base   # last: the bridge mutates it
 
         for u, v in seen_edges:
@@ -926,10 +893,8 @@ class _Engine:
         extra_ok = (len(self.paths) >= 2 and a_end != b_end and a_end >= w
                     and (p_e != self.terminal_pid or a_end != self.terminal))
         if extra_ok:
-            cap = 0
-            for q, qrec in self.paths.items():
-                if q != p_e:
-                    cap = max(cap, qrec[0], qrec[1])
+            cap = max(max(r[0], r[1]) for q, r in self.paths.items()
+                      if q != p_e)
             for u, x, far_u, far_x in self._splits(w, a_end, cap, p_e):
                 rem = (max(far_u, far_x), b_end)
                 add = (max(far_u, b_end), max(x, far_x))
@@ -985,42 +950,19 @@ class _Engine:
         u internal in [w, hi) and not on path ``skip``, x its
         path-neighbour with cap < x < u, and far_u, far_x the path's
         endpoints on u's and on x's side."""
-        nb1, nb2, pid = self.nb1, self.nb2, self.pid
-        for u in range(w, hi):
-            if not (nb1[u] and nb2[u]) or pid[u] == skip:
-                continue
-            for x in (nb1[u], nb2[u]):
-                if cap < x < u:
-                    far_u = self._far_side(u, x)
-                    rec = self.paths[pid[u]]
-                    yield u, x, far_u, rec[0] + rec[1] - far_u
-
-    def _far_side(self, u, x):
-        """Endpoint reached from u walking away from its path-neighbour x."""
-        prev, cur = x, u
-        while True:
-            nxt = self.nb1[cur]
-            if nxt == prev or nxt == 0:
-                nxt = self.nb2[cur]
-                if nxt == prev:
-                    nxt = 0
-            if nxt == 0:
-                return cur
-            prev, cur = cur, nxt
+        for u, x in self._inner_edges(range(w, hi)):
+            if cap < x < u and self.pid[u] != skip:
+                far_u = self._walk(u, x)[-1]
+                rec = self.paths[self.pid[u]]
+                yield u, x, far_u, rec[0] + rec[1] - far_u
 
     # -- new path branch ---------------------------------------------------
 
     def _do_newpath_branch(self, i, w):
         # insert between two consecutive seen neighbours; prefer the pair
         # with the highest top vertex so later vertices keep seeing it
-        best_pair = None
-        for u in range(w, i):
-            if self.pid[u] == 0:
-                continue
-            for x in self._nbrs(u):
-                if x < u and x >= w:
-                    if best_pair is None or (u, x) > best_pair:
-                        best_pair = (u, x)
+        best_pair = max(((u, x) for u in range(w, i) for x in self._nbrs(u)
+                         if w <= x < u), default=None)
         if best_pair is not None:
             u, x = best_pair
             self._insert(u, x, i)
@@ -1030,27 +972,21 @@ class _Engine:
         # split-merge: break an edge at a seen internal vertex, rejoin the
         # loose piece to another path's endpoint, then connect here
         plans = []
-        for u in range(w, i):
-            if self.pid[u] == 0 or self._nb_count(u) != 2:
-                continue
+        for u, a in self._inner_edges(range(w, i)):
             pu = self.pid[u]
-            pu_max = max(self.paths[pu][0], self.paths[pu][1])
-            for a in self._nbrs(u):
-                far_u = self._far_side(u, a)
-                far_a = self.paths[pu][0] + self.paths[pu][1] - far_u
-                for q, qrec in self.paths.items():
-                    if q == pu:
+            rec = self.paths[pu]
+            far_a = rec[0] + rec[1] - self._walk(u, a)[-1]
+            for q, qrec in self.paths.items():
+                if q == pu:
+                    continue
+                for b in {qrec[0], qrec[1]}:
+                    if not self.sees(a, b) or not self.is_free_ep(b):
                         continue
-                    for b in {qrec[0], qrec[1]}:
-                        if not self.sees(a, b):
-                            continue
-                        if not self.is_free_ep(b):
-                            continue
-                        ob = qrec[0] + qrec[1] - b
-                        rem = (pu_max, max(qrec[0], qrec[1]))
-                        add = (i, max(far_a, ob))
-                        plans.append((self._score(base, rem, add),
-                                      (-u, -a, -b), ("splitmerge", u, a, b)))
+                    ob = qrec[0] + qrec[1] - b
+                    rem = (max(rec[0], rec[1]), max(qrec[0], qrec[1]))
+                    add = (i, max(far_a, ob))
+                    plans.append((self._score(base, rem, add),
+                                  (-u, -a, -b), ("splitmerge", u, a, b)))
         if plans:
             _, u, a, b = max(plans, key=lambda t: t[:2])[2]
             self._cut(u, a)
@@ -1069,15 +1005,16 @@ class _Engine:
             self._connect(u, i)
             self._log(i, "new_path", f"split at ({u},{x}), attached to {u}")
         else:
-            self._new_path(i, terminal=False)
+            self._new_path(i)
             self._log(i, "new_path", "trivial")
 
     # ------------------------------------------------------------------
 
-    def clone(self):
-        e = _Engine(self.n, self.window, terminal=self.terminal)
+    def clone(self, terminal=None):
+        """A copy of this state; with terminal set, one that carries that
+        terminal instead (still unplaced, when cloning the shadow)."""
+        e = _Engine(self.n, self.window, terminal=terminal or self.terminal)
         e._adopt(self)
-        e.placed = self.placed
         return e
 
     def check_state(self, upto):
@@ -1118,10 +1055,7 @@ class _Engine:
                 seq = self._walk(self.terminal)
                 out.append(Path(seq, "terminal"))
             else:
-                seq = self._walk(min(rec[0], rec[1]))
-                if seq[0] > seq[-1]:
-                    seq.reverse()
-                out.append(Path(seq, "free"))
+                out.append(Path(self._walk(min(rec[0], rec[1])), "free"))
         return PathCover(out, self.terminal, g_n)
 
 

@@ -247,4 +247,6 @@ def parse_adjacency_file(text: str):
         raise ValueError(f"header announced {m} edges, found {len(edges)}")
     if pi is None:
         pi = list(range(1, n + 1))
+    elif sorted(pi) != list(range(1, n + 1)):
+        raise ValueError("pi is not a permutation of 1..n")
     return n, edges, pi

@@ -110,6 +110,7 @@ def test_criterion_4_structural_invariants_large():
         dsum = sum(2 * (len(p) - 1) for p in cover.paths)
         assert dsum == 2 * (n - cover.lam)
         assert cover.lam >= free.lam
+        assert cover.lam <= free.lam + 1
         checked += 1
     print(f"criterion 4 PASS: {checked} instances up to n=200, all "
           f"structural invariants hold ({time.time()-t0:.0f}s)")

@@ -95,6 +95,14 @@ def test_solve_ordering_violation(tmp_path):
     assert main(["solve", f, "--format", "adj"]) == 3
 
 
+def test_solve_adjacency_pi_outside_the_vertices(tmp_path, capsys):
+    f = write(tmp_path / "a.adj", "2 1\n1 2\npi: 5 6\n")
+    assert main(["solve", f]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: pi is not a permutation of 1..n\n"
+    assert captured.out == ""
+
+
 def test_solve_valid_adjacency(tmp_path, capsys):
     f = write(tmp_path / "p3.adj", "3 2\n1 2\n2 3\n")
     assert main(["solve", f, "--format", "adj", "--hp"]) == 0
@@ -207,6 +215,7 @@ def test_oracle_corpus_lists_the_models_again(monkeypatch, tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["oracle", "--random", "count=3", "--density", "2"],
     ["oracle", "--random", "count=-1"],
+    ["oracle", "--exhaustive", "n=-1"],
 ])
 def test_oracle_bad_generator_arguments(capsys, argv):
     assert main(argv) == 2
@@ -277,6 +286,26 @@ def test_solve_bipartite(tmp_path, capsys):
         captured = capsys.readouterr()
         assert f"terminal {terminal} out of range 1..3" in captured.err
         assert captured.out == ""
+
+
+# one x-convex graph twice: X and Y share the labels a and b, then Y is
+# relabelled c, d; --terminal names a Y vertex in both
+SHARED_LABELS = "X=2 Y=2 convex=x\nX: a b\nY: b a\na b\nb b\nb a\n"
+DISTINCT_LABELS = "X=2 Y=2 convex=x\nX: a b\nY: c d\na c\nb c\nb d\n"
+
+
+@pytest.mark.parametrize("terminal, want", [("1", ["hp=no"]),
+                                            ("2", ["hp=yes", "{d} b {c} a"])])
+@pytest.mark.parametrize("text, d, c", [(SHARED_LABELS, "a", "b"),
+                                        (DISTINCT_LABELS, "d", "c")],
+                         ids=["shared", "distinct"])
+def test_solve_xconvex_terminal_is_a_y_vertex(tmp_path, capsys, text, d, c,
+                                              terminal, want):
+    f = write(tmp_path / "x.bip", text)
+    assert main(["solve", f, "--terminal", terminal]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [w.format(d=d, c=c) for w in want]
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("extra", [[], ["--terminal", "2"]])
