@@ -154,7 +154,10 @@ def validate_ordering(n: int, edges, pi: list[int]) -> OrderedGraph:
     index_of = {name: i + 1 for i, name in enumerate(pi)}
     nbrs = [set() for _ in range(n + 1)]
     for a, b in edges:
-        u, v = index_of[a], index_of[b]
+        u, v = index_of.get(a), index_of.get(b)
+        if u is None or v is None:
+            raise ValueError(f"edge ({a},{b}) names vertex "
+                             f"{a if u is None else b}, which is not in pi")
         if u == v:
             raise ValueError(f"self-loop on {a}")
         nbrs[u].add(v)

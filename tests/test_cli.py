@@ -66,7 +66,8 @@ def test_solve_terminal_out_of_range(tmp_path, capsys, terminal):
 def run_fresh(argv, at_import=None):
     """Exit code of cli.main(argv) in a fresh interpreter, on the same
     intervalpc as this one, and whether numpy was loaded by then; with
-    ``at_import``, also that expression's value just after the import."""
+    ``at_import``, also that expression's value just after the import
+    (printed after main returns, so a live view shows the state then)."""
     src = os.path.dirname(os.path.dirname(intervalpc.__file__))
     code = (f"import sys; sys.path.insert(0, {src!r}); "
             "from intervalpc.cli import build_parser, main; "
@@ -135,10 +136,17 @@ def test_verify_internal_terminal(tmp_path, capsys):
     assert "TerminalViolation" in capsys.readouterr().out
 
 
-def test_verify_parse_error(tmp_path):
-    f = write(tmp_path / "k4.ivl", K4)
-    cov = write(tmp_path / "cover.txt", "garbage\n")
+@pytest.mark.parametrize("text", [
+    "garbage\n",
+    "lambda=2 terminal=none n=2\nP1 F: 1 2\nP2 F:\n",
+    "lambda=1 terminal=none n=2\nP1 F 1 2\n",
+    "lambda=1 terminal=1 n=2\nP1 T:\n",
+], ids=["garbage", "no-vertices", "no-colon", "empty-terminal-path"])
+def test_verify_parse_error(tmp_path, capsys, text):
+    f = write(tmp_path / "g.ivl", "a 0 1\nb 1 2\n")
+    cov = write(tmp_path / "cover.txt", text)
     assert main(["verify", f, cov]) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_oracle_exhaustive_small(capsys):
@@ -396,6 +404,16 @@ def test_cached_parser_keeps_no_option_between_calls(tmp_path, capsys):
     assert main(["solve", f]) == 0
     out = capsys.readouterr().out
     assert "terminal=none" in out and "lambda=1" in out
+
+
+@pytest.mark.parametrize("extra, loaded", [([], False),
+                                           (["--terminal", "2"], True)])
+def test_terminal_layer_loads_only_for_a_terminal(tmp_path, extra, loaded):
+    # a live view of the loaded modules, printed after main returns
+    f = write(tmp_path / "k4.ivl", K4)
+    out = run_fresh(["solve", f] + extra, at_import="sys.modules.keys()")
+    assert out.startswith("0 False ") and "'intervalpc.engine'" in out
+    assert ("'intervalpc.terminal'" in out) == loaded
 
 
 def test_parser_is_not_built_at_import(tmp_path):

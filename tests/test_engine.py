@@ -11,6 +11,7 @@ from intervalpc.bipartite import convexify
 from intervalpc.graphcore import IntervalModel, build_ordering
 from intervalpc.engine import (PathCover, _Engine, epsilon_vector, parse_cover,
                                run_engine, serialize_cover, solve_1pc)
+from intervalpc.terminal import _TerminalEngine
 from intervalpc.generators import (GenSpec, exhaustive_interval_models,
                                    gen_biconvex, gen_interval)
 from intervalpc.oracle import (adjacency_masks, check_nesting, oracle_min_cover,
@@ -118,13 +119,13 @@ def test_terminal_last_never_builds_shadow():
 
 
 def test_carried_states_share_a_shadow_built_after_the_fork():
-    eng = _Engine(5, k_n(5).window, terminal=2)
+    eng = _TerminalEngine(5, k_n(5).window, terminal=2)
     for i in (1, 2, 3):
         eng.step(i)
     fork = eng._fork(eng, 0, 3, "connect", "carried")
     assert eng._shadow is None and fork._shadow is None
     shadow = fork._ensure_shadow(3)
-    assert eng._ensure_shadow(3) is shadow and shadow._shadow_upto == 3
+    assert eng._ensure_shadow(3) is shadow and eng._snapshot._shadow_upto == 3
 
 
 def test_shadow_size_relation_sampled():
@@ -339,12 +340,13 @@ def test_shadow_solves_the_prefix_without_the_terminal():
         g = graph_of(*intervals)
         by_label = {iv[0]: iv for iv in intervals}
         for t in rng.sample(range(1, n + 1), 4):
-            shadow = run_engine(g, t)._shadow
+            eng = run_engine(g, t)
+            shadow = eng._shadow
             if shadow is None:
                 continue
             built += 1
-            upto = shadow._shadow_upto
-            assert shadow.terminal_pid == 0 and shadow.pid[t] == 0
+            upto = eng._snapshot._shadow_upto
+            assert type(shadow) is _Engine and shadow.pid[t] == 0
             assert t not in shadow.eps
             covered = sorted(v for rec in shadow.paths.values()
                              for v in shadow._walk(rec[0]))
@@ -437,13 +439,13 @@ def test_restructure_tiers_differ_by_one_path(monkeypatch):
     # trial ends one path below it, each tier-2 trial level with it, so
     # a tier-1 trial always outranks a tier-2 one
     calls = []
-    original = _Engine._restructure_trials
+    original = _TerminalEngine._restructure_trials
 
     def record(self, i, w, merges_only=False):
         calls.append((self.clone(), i, w))
         return original(self, i, w, merges_only)
 
-    monkeypatch.setattr(_Engine, "_restructure_trials", record)
+    monkeypatch.setattr(_TerminalEngine, "_restructure_trials", record)
     k, density, seed, terminals = GOLDEN_BICONVEX[0]
     g = _biconvex_graph(k, density, seed)
     for t in terminals:

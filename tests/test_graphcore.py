@@ -80,6 +80,11 @@ def test_validate_ordering_gap_violation():
     assert exc.value.triple == (1, 2, 3)
 
 
+def test_validate_ordering_unknown_vertex():
+    with pytest.raises(ValueError, match="names vertex 1, which is not in pi"):
+        validate_ordering(2, [(1, 2)], [5, 6])
+
+
 def test_c4_has_no_valid_ordering():
     from itertools import permutations
     edges = [(1, 2), (2, 3), (3, 4), (4, 1)]
